@@ -1,5 +1,6 @@
 #include "view/cell_eval.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace viewrewrite {
@@ -23,38 +24,103 @@ Value FromTri(Tri t) {
   return Value::Null();
 }
 
+/// Calls `fn` on every column ref and $param of `e` that cell evaluation
+/// can reach; the refs are the ones CollectColumnRefsShallow collects.
+template <typename Fn>
+void VisitLeaves(const Expr* e, Fn& fn) {
+  if (e == nullptr) return;
+  switch (e->kind) {
+    case ExprKind::kColumnRef:
+    case ExprKind::kParam:
+      fn(*e);
+      return;
+    case ExprKind::kBinary: {
+      const auto* b = static_cast<const BinaryExpr*>(e);
+      VisitLeaves(b->left.get(), fn);
+      VisitLeaves(b->right.get(), fn);
+      return;
+    }
+    case ExprKind::kUnary:
+      VisitLeaves(static_cast<const UnaryExpr*>(e)->operand.get(), fn);
+      return;
+    case ExprKind::kFuncCall:
+      for (const auto& a : static_cast<const FuncCallExpr*>(e)->args) {
+        VisitLeaves(a.get(), fn);
+      }
+      return;
+    case ExprKind::kIn: {
+      const auto* in = static_cast<const InExpr*>(e);
+      VisitLeaves(in->lhs.get(), fn);
+      for (const auto& v : in->value_list) VisitLeaves(v.get(), fn);
+      return;
+    }
+    case ExprKind::kQuantifiedCmp:
+      VisitLeaves(static_cast<const QuantifiedCmpExpr*>(e)->lhs.get(), fn);
+      return;
+    default:
+      return;  // literals, stars, nested subqueries
+  }
+}
+
 }  // namespace
 
-Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
+CellScope::CellScope(const ViewDef& view, const ParamMap& params)
+    : view_(view), params_(params), cell_(view.attributes().size(), nullptr) {}
+
+bool CellScope::Resolve(const Expr& e, std::vector<size_t>* dims) {
+  const size_t first = dims->size();
+  bool all_resolved = true;
+  auto bind = [&](const Expr& leaf) {
+    if (leaf.kind == ExprKind::kParam) {
+      auto it = params_.find(static_cast<const ParamExpr&>(leaf).name);
+      bound_.emplace_back(&leaf, it == params_.end() ? nullptr : &it->second);
+      return;
+    }
+    const auto& c = static_cast<const ColumnRefExpr&>(leaf);
+    const int d = view_.AttributeIndex(c.table, c.column);
+    refs_.emplace_back(&leaf, d);
+    if (d < 0) {
+      all_resolved = false;
+    } else if (std::find(dims->begin() + first, dims->end(),
+                         static_cast<size_t>(d)) == dims->end()) {
+      dims->push_back(static_cast<size_t>(d));
+    }
+  };
+  VisitLeaves(&e, bind);
+  std::sort(dims->begin() + first, dims->end());
+  return all_resolved;
+}
+
+Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
   switch (e.kind) {
     case ExprKind::kLiteral:
       return static_cast<const LiteralExpr&>(e).value;
     case ExprKind::kColumnRef: {
-      const auto& c = static_cast<const ColumnRefExpr&>(e);
-      auto it = ctx.attr_values.find(c.FullName());
-      if (it != ctx.attr_values.end()) return it->second;
-      // Qualified miss: try the bare column (merged-view remaps can leave
-      // either form); unqualified miss: no fallback.
-      if (!c.table.empty()) {
-        it = ctx.attr_values.find(c.column);
-        if (it != ctx.attr_values.end()) return it->second;
+      for (const auto& [ref, dim] : scope.refs_) {
+        if (ref != &e) continue;
+        const Value* rep =
+            dim < 0 ? nullptr : scope.cell_[static_cast<size_t>(dim)];
+        if (rep == nullptr) break;
+        return *rep;
       }
-      return Status::NotFound("cell context has no attribute '" +
-                              c.FullName() + "'");
+      return Status::NotFound(
+          "cell has no attribute '" +
+          static_cast<const ColumnRefExpr&>(e).FullName() + "'");
     }
     case ExprKind::kParam: {
-      const auto& p = static_cast<const ParamExpr&>(e);
-      auto it = ctx.params.find(p.name);
-      if (it == ctx.params.end()) {
-        return Status::NotFound("unbound parameter '$" + p.name + "'");
+      for (const auto& [param, value] : scope.bound_) {
+        if (param != &e) continue;
+        if (value == nullptr) break;
+        return *value;
       }
-      return it->second;
+      return Status::NotFound("unbound parameter '$" +
+                              static_cast<const ParamExpr&>(e).name + "'");
     }
     case ExprKind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
       if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) {
-        VR_ASSIGN_OR_RETURN(Value lv, EvalCellExpr(*b.left, ctx));
-        VR_ASSIGN_OR_RETURN(Value rv, EvalCellExpr(*b.right, ctx));
+        VR_ASSIGN_OR_RETURN(Value lv, EvalCellExpr(*b.left, scope));
+        VR_ASSIGN_OR_RETURN(Value rv, EvalCellExpr(*b.right, scope));
         Tri l = ToTri(lv);
         Tri r = ToTri(rv);
         if (b.op == BinaryOp::kAnd) {
@@ -66,8 +132,8 @@ Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
         if (l == Tri::kNull || r == Tri::kNull) return FromTri(Tri::kNull);
         return FromTri(Tri::kFalse);
       }
-      VR_ASSIGN_OR_RETURN(Value l, EvalCellExpr(*b.left, ctx));
-      VR_ASSIGN_OR_RETURN(Value r, EvalCellExpr(*b.right, ctx));
+      VR_ASSIGN_OR_RETURN(Value l, EvalCellExpr(*b.left, scope));
+      VR_ASSIGN_OR_RETURN(Value r, EvalCellExpr(*b.right, scope));
       if (IsComparisonOp(b.op)) {
         VR_ASSIGN_OR_RETURN(Value::TriCompare c, l.CompareSql(r));
         if (c.is_null) return Value::Null();
@@ -102,7 +168,7 @@ Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
-      VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*u.operand, ctx));
+      VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*u.operand, scope));
       if (u.op == UnaryOp::kNot) {
         Tri t = ToTri(v);
         if (t == Tri::kNull) return Value::Null();
@@ -117,22 +183,22 @@ Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
       const auto& f = static_cast<const FuncCallExpr&>(e);
       if (f.name == "coalesce") {
         for (const auto& a : f.args) {
-          VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*a, ctx));
+          VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*a, scope));
           if (!v.is_null()) return v;
         }
         return Value::Null();
       }
       if (f.name == "isnull" || f.name == "isnotnull") {
-        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], ctx));
+        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], scope));
         return Value::Int((f.name == "isnull") == v.is_null() ? 1 : 0);
       }
       if (f.name == "ifpos") {
-        VR_ASSIGN_OR_RETURN(Value cond, EvalCellExpr(*f.args[0], ctx));
+        VR_ASSIGN_OR_RETURN(Value cond, EvalCellExpr(*f.args[0], scope));
         if (ToTri(cond) != Tri::kTrue) return Value::Null();
-        return EvalCellExpr(*f.args[1], ctx);
+        return EvalCellExpr(*f.args[1], scope);
       }
       if (f.name == "abs") {
-        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], ctx));
+        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], scope));
         if (v.is_null()) return Value::Null();
         return Value::Double(std::fabs(v.ToDouble()));
       }
@@ -143,11 +209,11 @@ Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
       if (in.subquery) {
         return Status::Unsupported("cell IN over a subquery (not rewritten?)");
       }
-      VR_ASSIGN_OR_RETURN(Value lhs, EvalCellExpr(*in.lhs, ctx));
+      VR_ASSIGN_OR_RETURN(Value lhs, EvalCellExpr(*in.lhs, scope));
       if (lhs.is_null()) return Value::Null();
       bool any_null = false;
       for (const auto& item : in.value_list) {
-        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*item, ctx));
+        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*item, scope));
         if (v.is_null()) {
           any_null = true;
           continue;
@@ -166,8 +232,8 @@ Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
   }
 }
 
-Result<bool> EvalCellPredicate(const Expr& e, const CellContext& ctx) {
-  VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(e, ctx));
+Result<bool> EvalCellPredicate(const Expr& e, const CellScope& scope) {
+  VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(e, scope));
   return ToTri(v) == Tri::kTrue;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <functional>
-#include <set>
 #include <unordered_map>
 
 #include "aggregate/aggregate_planner.h"
@@ -200,6 +199,7 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
     }
   }
   s.total_cells_ = static_cast<size_t>(total);
+  s.ComputeRepresentatives();
 
   // ---- Materialization statement. -----------------------------------------
   auto mat = std::make_unique<SelectStmt>();
@@ -276,15 +276,18 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
       n_sums, std::vector<double>(s.total_cells_, 0.0));
 
   std::unordered_map<Value, int64_t, ValueHash> kept;
-  std::vector<int64_t> cell(n_attrs, 0);
   size_t kept_rows = 0;
   for (const Row& row : rs.rows) {
     int64_t& used = kept[row[key_col]];
     if (used >= tau) continue;
     ++used;
     ++kept_rows;
-    for (size_t i = 0; i < n_attrs; ++i) cell[i] = s.CellOf(i, row[i]);
-    size_t flat = s.FlatIndex(cell);
+    // Row-major over dim_sizes_, the last dimension fastest.
+    size_t flat = 0;
+    for (size_t i = 0; i < n_attrs; ++i) {
+      flat = flat * static_cast<size_t>(s.dim_sizes_[i]) +
+             static_cast<size_t>(s.CellOf(i, row[i]));
+    }
     count_cells[flat] += 1.0;
     for (size_t m = 0; m < n_sums; ++m) {
       const Value& v = row[n_attrs + m];
@@ -332,17 +335,24 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
   return s;
 }
 
-Value Synopsis::Representative(size_t dim, int64_t idx) const {
-  const ColumnDomain& d = view_->attributes()[dim].domain;
-  if (idx >= d.CellCount()) return Value::Null();
-  if (d.kind == ColumnDomain::Kind::kCategorical) {
-    return d.categories[static_cast<size_t>(idx)];
+void Synopsis::ComputeRepresentatives() {
+  reps_.assign(dim_sizes_.size(), {});
+  for (size_t dim = 0; dim < dim_sizes_.size(); ++dim) {
+    const ColumnDomain& d = view_->attributes()[dim].domain;
+    reps_[dim].reserve(static_cast<size_t>(dim_sizes_[dim]));
+    for (int64_t idx = 0; idx < dim_sizes_[dim]; ++idx) {
+      if (idx >= d.CellCount()) {
+        reps_[dim].push_back(Value::Null());
+      } else if (d.kind == ColumnDomain::Kind::kCategorical) {
+        reps_[dim].push_back(d.categories[static_cast<size_t>(idx)]);
+      } else {
+        auto [lo, hi] = d.BucketBounds(idx);
+        // Continuous convention: the bucket covers [lo, hi + 1).
+        reps_[dim].push_back(Value::Double(
+            (static_cast<double>(lo) + static_cast<double>(hi) + 1.0) / 2.0));
+      }
+    }
   }
-  auto [lo, hi] = d.BucketBounds(idx);
-  // Continuous convention: the bucket covers [lo, hi + 1).
-  return Value::Double((static_cast<double>(lo) + static_cast<double>(hi) +
-                        1.0) /
-                       2.0);
 }
 
 int64_t Synopsis::CellOf(size_t dim, const Value& v) const {
@@ -351,15 +361,6 @@ int64_t Synopsis::CellOf(size_t dim, const Value& v) const {
   int64_t idx = d.CellIndex(v);
   if (idx < 0) return d.CellCount();  // unseen category -> "other" cell
   return idx;
-}
-
-size_t Synopsis::FlatIndex(const std::vector<int64_t>& cell) const {
-  size_t flat = 0;
-  for (size_t i = 0; i < cell.size(); ++i) {
-    flat = flat * static_cast<size_t>(dim_sizes_[i]) +
-           static_cast<size_t>(cell[i]);
-  }
-  return flat;
 }
 
 const std::vector<double>& Synopsis::ExactCells(
@@ -434,52 +435,34 @@ Result<Synopsis> Synopsis::FromParts(const ViewDef* view,
   s.count_noise_scale_ = parts.count_noise_scale;
   s.stats_ = parts.stats;
   s.hier_count_ = std::move(parts.hier_count);
+  s.ComputeRepresentatives();
   return s;
 }
-
-namespace {
-
-/// Dimension references of a conjunct: resolves each column ref against
-/// the view attributes. Returns false if some ref is not an attribute.
-bool ConjunctDims(const Expr& e, const ViewDef& view, std::set<int>* dims) {
-  std::vector<const ColumnRefExpr*> refs;
-  CollectColumnRefsShallow(&e, &refs);
-  for (const ColumnRefExpr* r : refs) {
-    int d = view.AttributeIndex(r->table, r->column);
-    if (d < 0) return false;
-    dims->insert(d);
-  }
-  return true;
-}
-
-}  // namespace
 
 Result<std::optional<double>> Synopsis::TryHierarchicalCount(
     const Expr* where, const ParamMap& params) const {
   if (!hier_count_.has_value() || view_->attributes().size() != 1) {
     return std::optional<double>();
   }
-  const ViewAttribute& attr = view_->attributes()[0];
   // Evaluate every conjunct per cell of the single dimension; the tree
   // helps only when the admitted cells form one contiguous value range
   // that excludes the NULL padding cell.
+  CellScope scope(*view_, params);
   std::vector<const Expr*> conjuncts = CollectConjuncts(where);
-  const int64_t cells = attr.domain.CellCount();
+  std::vector<char> resolved;
+  std::vector<size_t> dims;
+  for (const Expr* c : conjuncts) resolved.push_back(scope.Resolve(*c, &dims));
+  const int64_t cells = view_->attributes()[0].domain.CellCount();
   int64_t lo = -1, hi = -1;
   bool contiguous = true;
   for (int64_t idx = 0; idx <= cells; ++idx) {
-    CellContext ctx;
-    for (const auto& [k, v] : params) ctx.params[k] = v;
-    Value rep = Representative(0, idx);
-    ctx.attr_values[attr.QualifiedName()] = rep;
-    ctx.attr_values[attr.column] = rep;
+    scope.SetCell(0, &reps_[0][static_cast<size_t>(idx)]);
     bool pass = true;
-    for (const Expr* c : conjuncts) {
-      std::set<int> dims;
-      if (!ConjunctDims(*c, *view_, &dims)) {
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (!resolved[i]) {
         return std::optional<double>();  // non-view attribute: bail out
       }
-      VR_ASSIGN_OR_RETURN(bool p, EvalCellPredicate(*c, ctx));
+      VR_ASSIGN_OR_RETURN(bool p, EvalCellPredicate(*conjuncts[i], scope));
       if (!p) {
         pass = false;
         break;
@@ -507,144 +490,135 @@ Result<std::optional<double>> Synopsis::TryHierarchicalCount(
 Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
                                           const Expr* where,
                                           const ParamMap& params) const {
-  const size_t n = view_->attributes().size();
+  const size_t n = dim_sizes_.size();
+  CellScope scope(*view_, params);
 
-  // Classify conjuncts: per-dimension filters get precomputed masks; the
-  // rest are evaluated per surviving cell.
-  std::vector<const Expr*> conjuncts = CollectConjuncts(where);
+  // Compile the WHERE into a cell program. A conjunct over one dimension
+  // filters that dimension's indices, a constant one decides the whole
+  // query, and any other gets a truth table over only the dimensions it
+  // reads. Table entries are filled when the walk first reaches them, so
+  // an evaluation error surfaces at the same cell and conjunct as when
+  // every conjunct is evaluated per cell.
+  struct Tabled {
+    const Expr* expr;
+    std::vector<size_t> dims;
+    std::vector<size_t> strides;  // per dims entry, over allowed positions
+    std::vector<int8_t> truth;    // -1 until evaluated
+  };
   std::vector<std::vector<const Expr*>> dim_conjuncts(n);
-  std::vector<const Expr*> general;
-  for (const Expr* c : conjuncts) {
-    std::set<int> dims;
-    if (!ConjunctDims(*c, *view_, &dims)) {
+  std::vector<const Expr*> constant;
+  std::vector<Tabled> tabled;
+  for (const Expr* c : CollectConjuncts(where)) {
+    std::vector<size_t> dims;
+    if (!scope.Resolve(*c, &dims)) {
       return Status::ExecutionError(
           "query filter references a non-view attribute: " + ToSql(*c));
     }
-    if (dims.size() == 1) {
-      dim_conjuncts[static_cast<size_t>(*dims.begin())].push_back(c);
-    } else if (dims.empty()) {
-      general.push_back(c);  // constant / param-only predicate
+    if (dims.empty()) {
+      constant.push_back(c);  // constant / param-only predicate
+    } else if (dims.size() == 1) {
+      dim_conjuncts[dims[0]].push_back(c);
     } else {
-      general.push_back(c);
+      tabled.push_back({c, std::move(dims), {}, {}});
     }
   }
-
-  CellContext ctx;
-  ctx.params.clear();
-  for (const auto& [k, v] : params) ctx.params[k] = v;
 
   // Constant predicates can zero the whole query (e.g. `$v >= 1`).
-  for (auto it = general.begin(); it != general.end();) {
-    std::set<int> dims;
-    ConjunctDims(**it, *view_, &dims);
-    if (dims.empty()) {
-      VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(**it, ctx));
-      if (!pass) return 0.0;
-      it = general.erase(it);
-    } else {
-      ++it;
-    }
+  for (const Expr* c : constant) {
+    VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, scope));
+    if (!pass) return 0.0;
   }
 
-  // Per-dimension allowed masks.
-  std::vector<std::vector<char>> allowed(n);
+  // Allowed indices per dimension.
+  std::vector<std::vector<size_t>> allowed(n);
+  bool none = false;
   for (size_t d = 0; d < n; ++d) {
-    allowed[d].assign(static_cast<size_t>(dim_sizes_[d]), 1);
-    if (dim_conjuncts[d].empty()) continue;
-    const ViewAttribute& attr = view_->attributes()[d];
-    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
-      CellContext dctx;
-      dctx.params = ctx.params;
-      Value rep = Representative(d, idx);
-      dctx.attr_values[attr.QualifiedName()] = rep;
-      dctx.attr_values[attr.column] = rep;
+    for (size_t idx = 0; idx < reps_[d].size(); ++idx) {
+      scope.SetCell(d, &reps_[d][idx]);
       bool ok = true;
       for (const Expr* c : dim_conjuncts[d]) {
-        VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, dctx));
+        VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, scope));
         if (!pass) {
           ok = false;
           break;
         }
       }
-      allowed[d][static_cast<size_t>(idx)] = ok ? 1 : 0;
+      if (ok) allowed[d].push_back(idx);
     }
+    none = none || allowed[d].empty();
+  }
+  if (none) return 0.0;
+
+  for (Tabled& t : tabled) {
+    size_t entries = 1;
+    t.strides.resize(t.dims.size());
+    for (size_t k = t.dims.size(); k-- > 0;) {
+      t.strides[k] = entries;
+      entries *= allowed[t.dims[k]].size();
+    }
+    t.truth.assign(entries, -1);
+  }
+  std::vector<size_t> flat_strides(n);
+  size_t stride = 1;
+  for (size_t d = n; d-- > 0;) {
+    flat_strides[d] = stride;
+    stride *= static_cast<size_t>(dim_sizes_[d]);
   }
 
-  // Enumerate allowed cells. Representatives are precomputed and the
-  // cell context is built once with stable map slots, so the per-cell
-  // work is pointer assignments — this loop dominates query answering.
-  std::vector<std::vector<Value>> reps(n);
-  for (size_t d = 0; d < n; ++d) {
-    reps[d].reserve(static_cast<size_t>(dim_sizes_[d]));
-    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
-      reps[d].push_back(Representative(d, idx));
-    }
-  }
-  CellContext full;
-  full.params = ctx.params;
-  std::vector<std::pair<Value*, Value*>> slots(n);
-  if (!general.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      const ViewAttribute& attr = view_->attributes()[i];
-      Value* qualified = &full.attr_values[attr.QualifiedName()];
-      Value* bare = &full.attr_values[attr.column];
-      slots[i] = {qualified, bare};
-    }
-  }
-
+  // Odometer over the allowed cells, last dimension fastest: the cells
+  // are visited, and their values added, in flat-index order.
+  std::vector<size_t> pos(n, 0);
+  for (size_t d = 0; d < n; ++d) scope.SetCell(d, &reps_[d][allowed[d][0]]);
   double total = 0;
-  std::vector<int64_t> cell(n, 0);
-  std::function<Status(size_t)> recurse = [&](size_t d) -> Status {
-    if (d == n) {
-      if (!general.empty()) {
-        for (const Expr* c : general) {
-          VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, full));
-          if (!pass) return Status::OK();
-        }
+  while (true) {
+    bool pass = true;
+    for (Tabled& t : tabled) {
+      size_t entry = 0;
+      for (size_t k = 0; k < t.dims.size(); ++k) {
+        entry += pos[t.dims[k]] * t.strides[k];
       }
-      total += array[FlatIndex(cell)];
-      return Status::OK();
-    }
-    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
-      if (!allowed[d][static_cast<size_t>(idx)]) continue;
-      cell[d] = idx;
-      if (!general.empty()) {
-        const Value& rep = reps[d][static_cast<size_t>(idx)];
-        *slots[d].first = rep;
-        *slots[d].second = rep;
+      int8_t& truth = t.truth[entry];
+      if (truth < 0) {
+        VR_ASSIGN_OR_RETURN(bool p, EvalCellPredicate(*t.expr, scope));
+        truth = p ? 1 : 0;
       }
-      VR_RETURN_NOT_OK(recurse(d + 1));
+      if (truth == 0) {
+        pass = false;
+        break;
+      }
     }
-    return Status::OK();
-  };
-  if (n == 0) {
-    total = array.empty() ? 0.0 : array[0];
-    if (!general.empty()) {
-      return Status::ExecutionError("filter on a zero-dimensional view");
+    if (pass) {
+      size_t flat = 0;
+      for (size_t d = 0; d < n; ++d) {
+        flat += allowed[d][pos[d]] * flat_strides[d];
+      }
+      total += array[flat];
     }
-  } else {
-    VR_RETURN_NOT_OK(recurse(0));
+    // Step to the next allowed cell, carrying into slower dimensions.
+    size_t d = n;
+    for (; d > 0; --d) {
+      const size_t k = d - 1;
+      if (++pos[k] == allowed[k].size()) pos[k] = 0;
+      scope.SetCell(k, &reps_[k][allowed[k][pos[k]]]);
+      if (pos[k] != 0) break;
+    }
+    if (d == 0) break;
   }
   return total;
 }
 
-Result<double> Synopsis::EstimateExtremum(const std::string& column,
+Result<double> Synopsis::EstimateExtremum(const ColumnRefExpr& column,
                                           bool is_max, const Expr* where,
                                           const ParamMap& params,
                                           bool use_exact) const {
   const auto& arrays = use_exact ? exact_ : noisy_;
-  int dim = -1;
-  for (size_t i = 0; i < view_->attributes().size(); ++i) {
-    if (view_->attributes()[i].column == column) {
-      dim = static_cast<int>(i);
-      break;
-    }
-  }
-  if (dim < 0) {
-    return Status::NotFound("extremum column '" + column +
+  const int found = view_->AttributeIndex(column.table, column.column);
+  if (found < 0) {
+    return Status::NotFound("extremum column '" + column.FullName() +
                             "' is not a view dimension");
   }
-  const ViewAttribute& attr = view_->attributes()[static_cast<size_t>(dim)];
+  const size_t dim = static_cast<size_t>(found);
+  const ViewAttribute& attr = view_->attributes()[dim];
   const int64_t cells = attr.domain.CellCount();
 
   // Noisy count of qualifying rows in each slice of the target dimension
@@ -653,7 +627,7 @@ Result<double> Synopsis::EstimateExtremum(const std::string& column,
   auto slice_count = [&](int64_t idx) -> Result<double> {
     ExprPtr eq = MakeBinary(
         BinaryOp::kEq, MakeColumnRef(attr.table, attr.column),
-        MakeLiteral(Representative(static_cast<size_t>(dim), idx)));
+        MakeLiteral(reps_[dim][static_cast<size_t>(idx)]));
     ExprPtr combined =
         where ? MakeAnd(where->Clone(), std::move(eq)) : std::move(eq);
     return SumMatchingCells(arrays.at("count"), combined.get(), params);
@@ -669,13 +643,13 @@ Result<double> Synopsis::EstimateExtremum(const std::string& column,
   if (is_max) {
     for (int64_t idx = cells - 1; idx >= 0; --idx) {
       if (counts[static_cast<size_t>(idx)] > threshold) {
-        return Representative(static_cast<size_t>(dim), idx).ToDouble();
+        return reps_[dim][static_cast<size_t>(idx)].ToDouble();
       }
     }
   } else {
     for (int64_t idx = 0; idx < cells; ++idx) {
       if (counts[static_cast<size_t>(idx)] > threshold) {
-        return Representative(static_cast<size_t>(dim), idx).ToDouble();
+        return reps_[dim][static_cast<size_t>(idx)].ToDouble();
       }
     }
   }
@@ -688,7 +662,7 @@ Result<double> Synopsis::EstimateExtremum(const std::string& column,
       best = idx;
     }
   }
-  return Representative(static_cast<size_t>(dim), best).ToDouble();
+  return reps_[dim][static_cast<size_t>(best)].ToDouble();
 }
 
 namespace {
@@ -836,13 +810,14 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
       std::map<std::string, Value> group_values;
       for (size_t gi = 0; gi < group_dims.size(); ++gi) {
         const ViewAttribute& attr = view_->attributes()[group_dims[gi]];
-        Value rep = Representative(group_dims[gi], combo[gi]);
+        const Value& rep =
+            reps_[group_dims[gi]][static_cast<size_t>(combo[gi])];
         group_values[attr.column] = rep;
         group_values[attr.table + "." + attr.column] = rep;
         where = MakeAnd(std::move(where),
                         MakeBinary(BinaryOp::kEq,
                                    MakeColumnRef(attr.table, attr.column),
-                                   MakeLiteral(std::move(rep))));
+                                   MakeLiteral(rep)));
       }
 
       // Answer each distinct aggregate call once per group (select list
@@ -887,7 +862,8 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
           bool emitted = false;
           for (size_t gi = 0; gi < group_dims.size(); ++gi) {
             if (static_cast<int>(group_dims[gi]) == dim) {
-              row.values.push_back(Representative(group_dims[gi], combo[gi]));
+              row.values.push_back(
+                  reps_[group_dims[gi]][static_cast<size_t>(combo[gi])]);
               emitted = true;
               break;
             }
@@ -952,9 +928,8 @@ Result<double> Synopsis::AnswerAggCall(const FuncCallExpr& agg,
   VR_ASSIGN_OR_RETURN(aggregate::AggregatePlan plan,
                       aggregate::PlanAggregate(agg));
   if (plan.is_extremum) {
-    const auto& col = static_cast<const ColumnRefExpr&>(*plan.arg);
-    return EstimateExtremum(col.column, agg.name == "max", where, params,
-                            use_exact);
+    return EstimateExtremum(static_cast<const ColumnRefExpr&>(*plan.arg),
+                            agg.name == "max", where, params, use_exact);
   }
   double count = 0;
   double sum = 0;

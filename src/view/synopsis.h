@@ -36,11 +36,13 @@ struct SynopsisParts;
 /// truncate per protected key, add matrix-mechanism noise.
 ///
 /// Thread safety: once built (or reconstructed), a Synopsis is immutable.
-/// All const members — AnswerScalar, AnswerScalarExact, AnswerGrouped,
-/// stats, ExactCells — only read the published arrays and build local
-/// state, so any number of threads may answer queries from one Synopsis
-/// concurrently with no external locking. The serve layer's QueryServer
-/// relies on this contract.
+/// Build and FromParts also compute every cell representative, which
+/// nothing changes afterwards. All const members — AnswerScalar,
+/// AnswerScalarExact, AnswerGrouped, stats, ExactCells — only read the
+/// published arrays and representatives and build per-call state, so any
+/// number of threads may answer queries from one Synopsis concurrently
+/// with no external locking. The serve layer's QueryServer relies on this
+/// contract.
 class Synopsis {
  public:
   struct BuildStats {
@@ -58,9 +60,13 @@ class Synopsis {
                                 const PrivacyPolicy& policy, double epsilon,
                                 const SynopsisOptions& options, Random* rng);
 
-  /// Answers a scalar aggregate `query` whose FROM matches this view:
-  /// evaluates the WHERE against every cell's representative values and
-  /// totals the matching noisy measure cells. Supports COUNT, SUM(expr)
+  /// Answers a scalar aggregate `query` whose FROM matches this view by
+  /// totalling the noisy measure cells whose representative values
+  /// satisfy the WHERE. Each call compiles the WHERE once into a cell
+  /// program (per-dimension allowed lists plus truth tables for the
+  /// conjuncts that read several dimensions) and walks the allowed cells
+  /// in flat-index order, so the sum is the same, bit for bit, as
+  /// evaluating the whole WHERE at every cell. Supports COUNT, SUM(expr)
   /// (for registered measure expressions), MIN/MAX/AVG(col) (estimated
   /// from the histograms over col's dimension), and arithmetic around
   /// aggregate calls.
@@ -112,14 +118,10 @@ class Synopsis {
  private:
   Synopsis() = default;
 
-  /// Representative value of dimension `dim` at cell index `idx`
-  /// (the extra index == CellCount() is the NULL/other cell).
-  Value Representative(size_t dim, int64_t idx) const;
+  /// Fills reps_ from the view's attribute domains.
+  void ComputeRepresentatives();
 
   int64_t CellOf(size_t dim, const Value& v) const;
-
-  /// Mixed-radix flattening over (CellCount()+1) per dimension.
-  size_t FlatIndex(const std::vector<int64_t>& cell) const;
 
   Result<double> AnswerScalarImpl(const SelectStmt& query,
                                   const ParamMap& params,
@@ -131,11 +133,14 @@ class Synopsis {
   Result<double> AnswerAggCall(const FuncCallExpr& agg, const Expr* where,
                                const ParamMap& params, bool use_exact) const;
 
+  /// Totals `array` over the cells matching `where`, adding in flat-index
+  /// order (the grid is row-major over dim_sizes_, last dimension
+  /// fastest).
   Result<double> SumMatchingCells(const std::vector<double>& array,
                                   const Expr* where,
                                   const ParamMap& params) const;
 
-  Result<double> EstimateExtremum(const std::string& column, bool is_max,
+  Result<double> EstimateExtremum(const ColumnRefExpr& column, bool is_max,
                                   const Expr* where, const ParamMap& params,
                                   bool use_exact) const;
 
@@ -147,6 +152,9 @@ class Synopsis {
 
   const ViewDef* view_ = nullptr;  // owned by the ViewManager
   std::vector<int64_t> dim_sizes_;  // CellCount()+1 per attribute
+  /// Representative value per dimension and cell index: categorical value
+  /// or bucket midpoint, NULL for the extra NULL/other cell.
+  std::vector<std::vector<Value>> reps_;
   /// Hierarchical release of the count histogram (1-D views under
   /// MatrixStrategy::kHierarchical only).
   std::optional<HierarchicalHistogram> hier_count_;

@@ -113,6 +113,31 @@ TEST_F(SynopsisTest, ChainedQueryAnswered) {
   EXPECT_NEAR(got, truth, std::max(8.0, 0.25 * truth));
 }
 
+TEST_F(SynopsisTest, SelfJoinExtremumReadsTheAggregatedAlias) {
+  // Both aliases of the self-join carry o_totalprice as a view dimension;
+  // MAX must read o2's, not the first dimension with that column name.
+  const char* sql =
+      "SELECT MAX(o2.o_totalprice) FROM orders o JOIN orders o2 ON "
+      "o.o_custkey = o2.o_custkey WHERE o.o_totalprice < 64";
+  auto stmt = ParseSelect(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  Rewriter rewriter(*schema_);
+  auto rq = rewriter.Rewrite(**stmt);
+  ASSERT_TRUE(rq.ok()) << rq.status();
+  ViewManager manager(*schema_, PrivacyPolicy{"customer"});
+  auto bound = manager.RegisterRewritten(*rq, nullptr);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  Random rng(9);
+  ASSERT_TRUE(manager.Publish(*db_, kHugeEpsilon, &rng).ok());
+  auto got = manager.Answer(*bound, /*exact=*/true);
+  ASSERT_TRUE(got.ok()) << got.status();
+  // The answer is the midpoint of the 16-wide price bucket holding the
+  // true maximum, which lies far above the o-side filter.
+  const double truth = Exact(sql);
+  ASSERT_GE(truth, 64);
+  EXPECT_NEAR(*got, truth, 8.0);
+}
+
 TEST_F(SynopsisTest, NoiseDecreasesWithEpsilon) {
   const char* sql =
       "SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= 64";
