@@ -3,7 +3,7 @@
 // invariants on every one (see tests/chaos/chaos_harness.h):
 // no crash, no deadlock, ledger never over-spent (including across
 // republish generations), every response generation-baseline-exact,
-// stale, or an allowed typed error, the conservation law
+// stale-by-brownout, or an allowed typed error, the conservation law
 // (flights + coalesced_waiters + cache_short_circuits
 // + expired_in_queue + shed_hopeless + shed_displaced == submitted)
 // after every shutdown, and no torn bundle under republish/reload/query

@@ -1,6 +1,7 @@
 #include "common/fault_injection.h"
 
 #include <algorithm>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -70,6 +71,15 @@ void FaultInjection::KillOnNth(const std::string& point, uint64_t nth) {
   Arm(point, std::move(p));
 }
 
+void FaultInjection::DelayOnNth(const std::string& point, uint64_t nth,
+                                std::chrono::nanoseconds duration) {
+  Point p;
+  p.trigger = Trigger::kNth;
+  p.n = std::max<uint64_t>(1, nth);
+  p.delay = std::max(duration, std::chrono::nanoseconds(1));
+  Arm(point, std::move(p));
+}
+
 void FaultInjection::Disable(const std::string& point) {
   std::lock_guard<std::mutex> lock(mu_);
   if (points_.erase(point) > 0) {
@@ -91,30 +101,35 @@ uint64_t FaultInjection::HitCount(const std::string& point) const {
 }
 
 Status FaultInjection::Check(const std::string& point) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = points_.find(point);
-  if (it == points_.end()) return Status::OK();
-  Point& p = it->second;
-  ++p.hits;
-  switch (p.trigger) {
-    case Trigger::kNth:
-      if (!p.fired && p.hits == p.n) {
+  std::chrono::nanoseconds delay{0};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = points_.find(point);
+    if (it == points_.end()) return Status::OK();
+    Point& p = it->second;
+    ++p.hits;
+    switch (p.trigger) {
+      case Trigger::kNth:
+        if (p.fired || p.hits != p.n) return Status::OK();
         p.fired = true;
 #if defined(__unix__) || defined(__APPLE__)
         // Kill mode: die here, mid-operation, with no unwinding — the
         // kill-nine harness recovers in the parent process.
         if (p.kill) ::raise(SIGKILL);
 #endif
-        return p.status;
+        if (p.delay.count() == 0) return p.status;
+        delay = p.delay;
+        break;
+      case Trigger::kEveryN:
+        return p.hits % p.n == 0 ? p.status : Status::OK();
+      case Trigger::kProbability: {
+        std::uniform_real_distribution<double> dist(0.0, 1.0);
+        return dist(p.prng) < p.probability ? p.status : Status::OK();
       }
-      return Status::OK();
-    case Trigger::kEveryN:
-      return p.hits % p.n == 0 ? p.status : Status::OK();
-    case Trigger::kProbability: {
-      std::uniform_real_distribution<double> dist(0.0, 1.0);
-      return dist(p.prng) < p.probability ? p.status : Status::OK();
     }
   }
+  // Delay mode: hold only the caller, never the registry.
+  std::this_thread::sleep_for(delay);
   return Status::OK();
 }
 
@@ -134,6 +149,12 @@ ScopedFault ScopedFault::WithProbability(const std::string& point, double p,
                                          uint64_t seed, Status status) {
   FaultInjection::Instance().FailWithProbability(point, p, seed,
                                                  std::move(status));
+  return ScopedFault(point);
+}
+
+ScopedFault ScopedFault::DelayOnNth(const std::string& point, uint64_t nth,
+                                    std::chrono::nanoseconds duration) {
+  FaultInjection::Instance().DelayOnNth(point, nth, duration);
   return ScopedFault(point);
 }
 

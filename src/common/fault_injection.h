@@ -2,6 +2,7 @@
 #define VIEWREWRITE_COMMON_FAULT_INJECTION_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -54,8 +55,9 @@ inline constexpr const char* kAllPoints[] = {
 }  // namespace faults
 
 /// Process-wide registry of armed fault points with deterministic
-/// triggers: fail exactly once on the Nth hit, fail on every Nth hit, or
-/// fail each hit with a seeded probability. Disabled points cost a single
+/// triggers: fail exactly once on the Nth hit, fail on every Nth hit,
+/// fail each hit with a seeded probability, or hold the Nth hit for a
+/// fixed time. Disabled points cost a single
 /// relaxed atomic load at the call site (see VR_FAULT_POINT), so fault
 /// points can stay compiled into release binaries.
 ///
@@ -87,6 +89,13 @@ class FaultInjection {
   /// falls back to injecting an Internal status.
   void KillOnNth(const std::string& point, uint64_t nth);
 
+  /// Arms `point` to sleep for `duration` on its `nth` hit and then pass
+  /// (return OK) — a deterministic "this stage is slow" window for tests
+  /// that need a request parked at a known point. The sleep happens
+  /// outside the registry lock, so other threads' checks never wait on it.
+  void DelayOnNth(const std::string& point, uint64_t nth,
+                  std::chrono::nanoseconds duration);
+
   void Disable(const std::string& point);
   void DisableAll();
 
@@ -116,6 +125,7 @@ class FaultInjection {
     uint64_t hits = 0;
     bool fired = false;  // kNth fires at most once
     bool kill = false;   // firing raises SIGKILL instead of returning status
+    std::chrono::nanoseconds delay{0};  // > 0: firing sleeps, then passes
   };
 
   void Arm(const std::string& point, Point p);
@@ -136,6 +146,8 @@ class ScopedFault {
                             Status status = Status());
   static ScopedFault WithProbability(const std::string& point, double p,
                                      uint64_t seed, Status status = Status());
+  static ScopedFault DelayOnNth(const std::string& point, uint64_t nth,
+                                std::chrono::nanoseconds duration);
 
   ScopedFault(ScopedFault&& other) noexcept;
   ScopedFault& operator=(ScopedFault&&) = delete;

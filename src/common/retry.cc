@@ -21,43 +21,6 @@ bool IsRetryableStatus(StatusCode code) {
   }
 }
 
-RetryBudget::RetryBudget(RetryBudgetOptions options) : options_(options) {
-  options_.ratio = std::max(0.0, options_.ratio);
-  options_.max_tokens = std::max(0.0, options_.max_tokens);
-  options_.initial_tokens =
-      std::clamp(options_.initial_tokens, 0.0, options_.max_tokens);
-  tokens_ = options_.initial_tokens;
-}
-
-void RetryBudget::RecordRequest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  tokens_ = std::min(options_.max_tokens, tokens_ + options_.ratio);
-}
-
-bool RetryBudget::TryRetry() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The balance accumulates in ratio-sized float steps (10 x 0.1 sums
-  // to 0.99999...), so a strict >= 1.0 would owe the caller a retry it
-  // arithmetically earned. The epsilon is far below any ratio in use.
-  constexpr double kSlack = 1e-9;
-  if (tokens_ < 1.0 - kSlack) {
-    ++exhausted_;
-    return false;
-  }
-  tokens_ = std::max(0.0, tokens_ - 1.0);
-  return true;
-}
-
-double RetryBudget::tokens() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tokens_;
-}
-
-uint64_t RetryBudget::exhausted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return exhausted_;
-}
-
 Backoff::Backoff(const RetryPolicy& policy, uint64_t seed)
     : policy_(policy),
       current_(std::max(policy.initial_backoff, std::chrono::nanoseconds(0))),

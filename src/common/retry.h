@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <random>
 
 #include "common/status.h"
@@ -35,50 +34,6 @@ struct RetryPolicy {
 /// re-offers the very load that caused it (retry storms amplify
 /// overload instead of riding out a blip).
 bool IsRetryableStatus(StatusCode code);
-
-/// Knobs for RetryBudget. The defaults (10 free tokens, then one retry
-/// earned per 10 requests) match the classic client-library budget: a
-/// few isolated failures retry freely, while a systemic failure — every
-/// request failing — caps total attempts at ~1.1x the offered load
-/// instead of multiplying it by max_attempts.
-struct RetryBudgetOptions {
-  /// Tokens deposited per recorded request (fractional).
-  double ratio = 0.1;
-  /// Token balance at construction (lets a cold server retry at all).
-  double initial_tokens = 10;
-  /// Balance cap, so a long quiet period cannot bank an unbounded
-  /// retry burst.
-  double max_tokens = 1000;
-};
-
-/// Server-wide retry *budget*: a token bucket that bounds how many
-/// retries the retry machinery may add on top of the offered load.
-/// Every first attempt deposits `ratio` tokens; every retry withdraws
-/// one. When the bucket is empty, TryRetry refuses and the caller
-/// surfaces the last error instead of re-attempting — under overload,
-/// retries-of-sheds would otherwise multiply the load that caused the
-/// shedding. Thread safe.
-class RetryBudget {
- public:
-  explicit RetryBudget(RetryBudgetOptions options = {});
-
-  /// Deposits for one logical request (call once per first attempt).
-  void RecordRequest();
-
-  /// Withdraws one token; false means the budget is exhausted and the
-  /// retry must not happen.
-  bool TryRetry();
-
-  double tokens() const;
-  /// Retries refused because the bucket was empty.
-  uint64_t exhausted() const;
-
- private:
-  RetryBudgetOptions options_;
-  mutable std::mutex mu_;
-  double tokens_;
-  uint64_t exhausted_ = 0;
-};
 
 /// The delay sequence for one request. `Next()` returns the delay to
 /// sleep before attempt 2, 3, ... Jitter is drawn from a dedicated

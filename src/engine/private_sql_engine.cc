@@ -3,6 +3,7 @@
 #include <chrono>
 #include <set>
 
+#include "engine/engine_common.h"
 #include "rewrite/analysis.h"
 #include "sql/parser.h"
 
@@ -48,8 +49,11 @@ PrivateSqlEngine::PrivateSqlEngine(const Database& db, PrivacyPolicy policy,
     : db_(db),
       policy_(std::move(policy)),
       options_(options),
-      rewriter_(db.schema(), BaselineRewriteOptions(options.rewrite)),
-      views_(db.schema(), policy_, options.synopsis),
+      rewriter_(db.schema(),
+                BaselineRewriteOptions(
+                    RewriteWithLimits(options.rewrite, options.limits))),
+      views_(db.schema(), policy_,
+             SynopsisWithLimits(options.synopsis, options.limits)),
       executor_(db),
       rng_(options.seed) {}
 
@@ -69,7 +73,8 @@ Status PrivateSqlEngine::Prepare(const std::vector<std::string>& workload) {
   rewritten_.resize(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
     auto rewrite_one = [&]() -> Result<RewrittenQuery> {
-      VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt, ParseSelect(workload[i]));
+      VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt,
+                          ParseSelect(workload[i], options_.limits));
       return rewriter_.Rewrite(*stmt);
     };
     Result<RewrittenQuery> rq = rewrite_one();
@@ -152,13 +157,7 @@ Status PrivateSqlEngine::Prepare(const std::vector<std::string>& workload) {
     }
   }
   stats_.publish_seconds = SecondsSince(t0);
-  if (const BudgetAccountant* budget = views_.accountant()) {
-    stats_.budget_total_epsilon = budget->total();
-    stats_.budget_spent_epsilon = budget->spent();
-    for (const BudgetAccountant::Entry& entry : budget->ledger()) {
-      if (entry.refund) ++stats_.budget_refunds;
-    }
-  }
+  SnapshotBudget(views_, &stats_);
 
   report_.num_prepared = workload.size() - report_.num_quarantined;
   if (!workload.empty() && report_.num_prepared == 0) {

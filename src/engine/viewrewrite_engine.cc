@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "engine/engine_common.h"
 #include "sql/parser.h"
 
 namespace viewrewrite {
@@ -16,8 +17,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// EngineOptions::limits is the single governance knob: stamp it into the
-/// sub-option structs the pipeline components actually consume.
+}  // namespace
+
 RewriteOptions RewriteWithLimits(RewriteOptions rewrite,
                                  const ResourceLimits& l) {
   rewrite.limits = l;
@@ -31,10 +32,6 @@ SynopsisOptions SynopsisWithLimits(SynopsisOptions synopsis,
   return synopsis;
 }
 
-/// One snapshot of the accountant into the stats block, shared by every
-/// path that mutates the ledger. A poisoned accountant already reports 0
-/// from total()/remaining(); the flag makes the poisoning visible instead
-/// of looking like an untouched budget.
 void SnapshotBudget(const ViewManager& views, EngineStats* stats) {
   const BudgetAccountant* budget = views.accountant();
   if (budget == nullptr) return;
@@ -46,8 +43,6 @@ void SnapshotBudget(const ViewManager& views, EngineStats* stats) {
     if (entry.refund) ++stats->budget_refunds;
   }
 }
-
-}  // namespace
 
 std::ostream& operator<<(std::ostream& os, const PrepareReport& report) {
   os << "prepared " << report.num_prepared << "/"

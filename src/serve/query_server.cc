@@ -74,10 +74,8 @@ QueryServer::QueryServer(std::shared_ptr<const SynopsisStore> store,
       schema_(schema),
       options_(options),
       rewriter_(schema_, WithLimits(options.rewrite, options.limits)),
-      answer_breaker_(options.answer_breaker),
       store_breaker_(options.store_breaker),
       overload_(options.overload),
-      retry_budget_(options.retry_budget),
       counters_(StatsCells(options)) {
   options_.rewrite.limits = options_.limits;
   if (options_.num_threads == 0) options_.num_threads = 1;
@@ -173,13 +171,6 @@ bool QueryServer::FlightDeadlineExpired(const Flight& flight) {
   const int64_t ns = flight.deadline_ns.load(std::memory_order_relaxed);
   if (ns == kInfiniteDeadlineNs) return false;
   return NowNanos() >= ns;
-}
-
-std::chrono::nanoseconds QueryServer::FlightDeadlineRemaining(
-    const Flight& flight) {
-  const int64_t ns = flight.deadline_ns.load(std::memory_order_relaxed);
-  if (ns == kInfiniteDeadlineNs) return std::chrono::nanoseconds::max();
-  return std::chrono::nanoseconds(std::max<int64_t>(0, ns - NowNanos()));
 }
 
 std::future<Result<ServedAnswer>> QueryServer::Submit(std::string sql,
@@ -525,8 +516,7 @@ void QueryServer::Process(Task task) {
 
   // Raw-key probe before any parsing. A fresh hit resolves the request
   // (and its batch followers) without consulting the flight table at all;
-  // an old-epoch entry is remembered as this request's stale fallback.
-  std::optional<StalePayload> stale_candidate;
+  // an old-epoch entry is never served here.
   const std::string raw_key = RawCacheKey(task.sql, task.params);
   if (cache_) {
     if (std::optional<AnswerCache::Entry> hit = cache_->Get(raw_key)) {
@@ -548,7 +538,6 @@ void QueryServer::Process(Task task) {
         task.promise.set_value(std::move(r));
         return;
       }
-      stale_candidate = StalePayload{hit->value, hit->rows};
     }
   }
 
@@ -561,14 +550,12 @@ void QueryServer::Process(Task task) {
     Waiter w;
     w.promise = std::move(task.promise);
     w.deadline = task.deadline;
-    w.stale_candidate = stale_candidate;
     members.push_back(std::move(w));
   }
   for (auto& follower : task.followers) {
     Waiter w;
     w.promise = std::move(follower);
     w.deadline = task.deadline;
-    w.stale_candidate = stale_candidate;
     w.coalesced = true;
     members.push_back(std::move(w));
   }
@@ -616,8 +603,7 @@ void QueryServer::Process(Task task) {
       ServeCounter::kAnswerNanos,
       std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
   // Service-time estimate behind the hopeless-drop discipline: wall time
-  // per leader computation, retries and backoff included — exactly what a
-  // queued request is in for.
+  // per leader computation — exactly what a queued request is in for.
   overload_.RecordServiceTime(
       std::chrono::duration_cast<std::chrono::nanoseconds>(dt));
   // nullopt: this flight merged into a canonical-equal one after rewrite;
@@ -675,10 +661,6 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
         target.waiters.push_back(std::move(w));
       }
       flight->waiters.clear();
-      if (flight->shared_stale.has_value() &&
-          !target.shared_stale.has_value()) {
-        target.shared_stale = flight->shared_stale;
-      }
       for (const std::string& k : flight->keys) flights_.erase(k);
       flight->keys.clear();
       counters_.Add(ServeCounter::kMergedFlights);
@@ -691,122 +673,65 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
   }
 
   if (cache_) {
-    if (std::optional<AnswerCache::Entry> hit = cache_->Get(canonical_key)) {
-      if (hit->epoch == snap.epoch) {
-        FlightOutcome out{Status::OK(), hit->value, 0, hit->outdated};
-        out.rows = hit->rows;
-        return out;
-      }
-      // An old-epoch canonical entry is a degradation fallback for every
-      // waiter of this flight, including ones whose raw probe missed.
-      std::lock_guard<std::mutex> lock(flights_mu_);
-      flight->shared_stale = StalePayload{hit->value, hit->rows};
+    if (std::optional<AnswerCache::Entry> hit = cache_->Get(canonical_key);
+        hit.has_value() && hit->epoch == snap.epoch) {
+      FlightOutcome out{Status::OK(), hit->value, 0, hit->outdated};
+      out.rows = hit->rows;
+      return out;
     }
   }
 
-  // One answer attempt: fault point, bind against the snapshot, answer
-  // from the stored noisy cells. The engine registers with a null bake
-  // predicate; binding with the same predicate reproduces the
-  // register-time signatures. A grouped query (single GROUP BY term, no
-  // chain) answers row-wise: suppression runs here, once per computation,
-  // so cached and coalesced consumers all see the identical filtered row
-  // set; the scalar `value` of a grouped answer is its row count.
+  // The single answer attempt: fault point, bind against the snapshot,
+  // answer from the stored noisy cells. Answering is deterministic, so a
+  // failure here is final for the whole flight and nothing is cached. The
+  // engine registers with a null bake predicate; binding with the same
+  // predicate reproduces the register-time signatures. A grouped query
+  // (single GROUP BY term, no chain) answers row-wise: suppression runs
+  // here, once per computation, so cached and coalesced consumers all see
+  // the identical filtered row set; the scalar `value` of a grouped
+  // answer is its row count.
   bool outdated = false;
   std::shared_ptr<const aggregate::GroupedData> rows;
-  size_t suppressed = 0;
-  auto attempt_answer = [&]() -> Result<double> {
+  auto answer = [&]() -> Result<double> {
     VR_FAULT_POINT(faults::kServeAnswer);
     VR_ASSIGN_OR_RETURN(BoundRewrittenQuery bound,
                         snap.store->Bind(*rq, nullptr));
     outdated = TouchesOutdatedView(*snap.store, bound,
                                    options_.outdated_ttl_generations);
-    rows = nullptr;
-    suppressed = 0;
     const bool grouped =
         bound.chain.empty() && bound.terms.size() == 1 &&
         bound.terms[0].query.cell_query != nullptr &&
         !bound.terms[0].query.cell_query->group_by.empty();
-    if (grouped) {
-      VR_ASSIGN_OR_RETURN(
-          aggregate::GroupedData data,
-          snap.store->AnswerGrouped(bound.terms[0].query, params));
-      suppressed = aggregate::ApplySuppression(
-          aggregate::SuppressionPolicy{options_.min_group_count}, &data);
-      const double row_count = static_cast<double>(data.rows.size());
-      rows = std::make_shared<const aggregate::GroupedData>(std::move(data));
-      return row_count;
+    if (!grouped) return snap.store->Answer(bound, params);
+    VR_ASSIGN_OR_RETURN(
+        aggregate::GroupedData data,
+        snap.store->AnswerGrouped(bound.terms[0].query, params));
+    const size_t suppressed = aggregate::ApplySuppression(
+        aggregate::SuppressionPolicy{options_.min_group_count}, &data);
+    counters_.Add(ServeCounter::kGroupedQueries);
+    if (suppressed > 0) {
+      counters_.Add(ServeCounter::kSuppressedGroups, suppressed);
     }
-    return snap.store->Answer(bound, params);
+    const double row_count = static_cast<double>(data.rows.size());
+    rows = std::make_shared<const aggregate::GroupedData>(std::move(data));
+    return row_count;
   };
-
-  Backoff backoff(options_.retry, Fnv1a64(sql));
-  const uint32_t max_attempts = std::max(1u, options_.retry.max_attempts);
-  retry_budget_.RecordRequest();
-  Status last;
-  uint32_t attempts = 0;
-  for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1 && FlightDeadlineExpired(*flight)) {
-      return FlightOutcome{
-          Status::DeadlineExceeded("request deadline expired after " +
-                                   std::to_string(attempts) +
-                                   " answer attempts"),
-          0, attempts};
-    }
-    if (!answer_breaker_.Allow()) {
-      return FlightOutcome{Status::Unavailable(
-          "answer-path circuit breaker is open; failing fast")};
-    }
-    ++attempts;
-    Result<double> got = attempt_answer();
-    if (got.ok()) {
-      answer_breaker_.RecordSuccess();
-      if (rows != nullptr) {
-        counters_.Add(ServeCounter::kGroupedQueries);
-        if (suppressed > 0) {
-          counters_.Add(ServeCounter::kSuppressedGroups, suppressed);
-        }
-      }
-      if (cache_) {
-        // The leader writes each key exactly once per flight, no matter
-        // how many waiters resolve with it.
-        cache_->Put(canonical_key, *got, snap.epoch, outdated, rows);
-        cache_->Put(raw_key, *got, snap.epoch, outdated, rows);
-      }
-      FlightOutcome out{Status::OK(), *got, attempts, outdated};
-      out.rows = std::move(rows);
-      return out;
-    }
-    last = got.status();
-    if (!IsRetryableStatus(last.code())) {
-      // Semantic failure (unparseable, no matching view, ...): the
-      // answer path itself functioned, so the breaker records health,
-      // and retrying could not change the outcome.
-      answer_breaker_.RecordSuccess();
-      return FlightOutcome{last, 0, attempts};
-    }
-    answer_breaker_.RecordFailure();
-    if (attempt < max_attempts) {
-      // Per-request retry *budget*: under systemic failure the schedule
-      // alone would multiply the offered load by max_attempts; when the
-      // bucket runs dry the last error surfaces instead.
-      if (!retry_budget_.TryRetry()) {
-        return FlightOutcome{last, 0, attempts};
-      }
-      counters_.Add(ServeCounter::kRetries);
-      std::chrono::nanoseconds delay = backoff.Next();
-      delay = std::min(delay, FlightDeadlineRemaining(*flight));
-      if (delay > std::chrono::nanoseconds(0)) {
-        std::this_thread::sleep_for(delay);
-      }
-    }
+  Result<double> got = answer();
+  if (!got.ok()) return FlightOutcome{got.status()};
+  if (cache_) {
+    // The leader writes each key exactly once per flight, no matter how
+    // many waiters resolve with it.
+    cache_->Put(canonical_key, *got, snap.epoch, outdated, rows);
+    cache_->Put(raw_key, *got, snap.epoch, outdated, rows);
   }
-  return FlightOutcome{last, 0, attempts};
+  FlightOutcome out{Status::OK(), *got, /*attempts=*/1, outdated};
+  out.rows = std::move(rows);
+  return out;
 }
 
 void QueryServer::FinishFlight(const std::shared_ptr<Flight>& flight,
                                const FlightOutcome& out) {
   std::vector<Waiter> waiters;
-  std::optional<StalePayload> shared_stale;
   {
     // Deregister before resolving: once the keys are gone, a new
     // duplicate starts a fresh flight (or hits the cache the leader just
@@ -816,24 +741,24 @@ void QueryServer::FinishFlight(const std::shared_ptr<Flight>& flight,
     flight->keys.clear();
     waiters = std::move(flight->waiters);
     flight->waiters.clear();
-    shared_stale = flight->shared_stale;
   }
   counters_.NoteFlightGroup(waiters.size());
   for (Waiter& w : waiters) {
-    Result<ServedAnswer> r = ResolveWaiter(w, out, shared_stale);
+    Result<ServedAnswer> r = ResolveWaiter(w, out);
     RecordOutcome(r);
     w.promise.set_value(std::move(r));
   }
 }
 
-Result<ServedAnswer> QueryServer::ResolveWaiter(
-    Waiter& w, const FlightOutcome& out,
-    const std::optional<StalePayload>& shared_stale) {
+Result<ServedAnswer> QueryServer::ResolveWaiter(const Waiter& w,
+                                                const FlightOutcome& out) {
   // Per-waiter resolution of the shared outcome. On success the value is
   // delivered regardless of the waiter's deadline — success beats the
   // deadline race, exactly as in the uncoalesced path where no deadline
   // check follows a successful answer. Coalesced waiters report zero
-  // attempts: they consumed none themselves.
+  // attempts: they made none themselves. On failure, a waiter whose own
+  // deadline has passed reports the expiry; every other waiter receives
+  // the flight's typed error.
   if (out.status.ok()) {
     return ServedAnswer{out.value,     /*stale=*/false,
                         w.coalesced ? 0 : out.attempts,
@@ -841,29 +766,8 @@ Result<ServedAnswer> QueryServer::ResolveWaiter(
                         out.epoch,     out.generation,
                         out.rows};
   }
-  // Failure order: deadline expiry is reported as such and never degrades
-  // to a stale answer; then transient failures fall back to this waiter's
-  // stale candidate (or the flight's shared one); semantic failures
-  // surface typed.
   if (w.deadline.expired()) {
     return Status::DeadlineExceeded("request deadline expired");
-  }
-  if (out.status.code() == StatusCode::kDeadlineExceeded) {
-    return out.status;
-  }
-  if (options_.serve_stale && IsRetryableStatus(out.status.code())) {
-    const std::optional<StalePayload>& fallback =
-        w.stale_candidate.has_value() ? w.stale_candidate : shared_stale;
-    if (fallback.has_value()) {
-      // The stale value's own lifecycle stamps are unknown (it came from
-      // an older epoch's cache entry); the answer carries the epoch and
-      // generation it degraded under, with `stale` as the flag.
-      return ServedAnswer{fallback->value, /*stale=*/true,
-                          w.coalesced ? 0 : out.attempts,
-                          w.coalesced,     /*outdated=*/false,
-                          out.epoch,       out.generation,
-                          fallback->rows};
-    }
   }
   return out.status;
 }
@@ -872,11 +776,6 @@ void QueryServer::RecordOutcome(const Result<ServedAnswer>& r) {
   if (r.ok()) {
     counters_.Add(ServeCounter::kCompleted);
     if (r->outdated) counters_.Add(ServeCounter::kOutdatedServed);
-    if (r->stale) {
-      counters_.Add(ServeCounter::kStaleServed);
-    } else if (r->attempts > 1) {
-      counters_.Add(ServeCounter::kRetrySuccesses);
-    }
   } else {
     counters_.Add(ServeCounter::kFailed);
     if (r.status().code() == StatusCode::kNotFound) {
@@ -961,14 +860,10 @@ ServeStats QueryServer::stats() const {
   s.rejected_shutdown = counters_.Total(ServeCounter::kRejectedShutdown);
   s.rejected_oversized = counters_.Total(ServeCounter::kRejectedOversized);
   s.rejected_expired = counters_.Total(ServeCounter::kRejectedExpired);
-  s.rejected = s.rejected_queue_full + s.rejected_shutdown +
-               s.rejected_oversized + s.rejected_expired;
   s.shed_admission = counters_.Total(ServeCounter::kShedAdmission);
   s.shed_hopeless = counters_.Total(ServeCounter::kShedHopeless);
   s.shed_displaced = counters_.Total(ServeCounter::kShedDisplaced);
-  s.shed_queue = s.shed_hopeless + s.shed_displaced;
   s.brownout_served = counters_.Total(ServeCounter::kBrownoutServed);
-  s.retry_budget_exhausted = retry_budget_.exhausted();
   s.limiter_limit = overload_.limiter().limit();
   s.limiter_in_flight = overload_.limiter().in_flight();
   s.brownout_active = overload_.brownout_active();
@@ -978,11 +873,8 @@ ServeStats QueryServer::stats() const {
   s.deadline_exceeded = counters_.Total(ServeCounter::kDeadlineExceeded);
   s.expired_in_queue = counters_.Total(ServeCounter::kExpiredInQueue);
   s.retries = counters_.Total(ServeCounter::kRetries);
-  s.retry_successes = counters_.Total(ServeCounter::kRetrySuccesses);
-  s.breaker_trips = answer_breaker_.trips() + store_breaker_.trips();
-  s.breaker_rejected =
-      answer_breaker_.rejections() + store_breaker_.rejections();
-  s.stale_served = counters_.Total(ServeCounter::kStaleServed);
+  s.breaker_trips = store_breaker_.trips();
+  s.breaker_rejected = store_breaker_.rejections();
   s.outdated_served = counters_.Total(ServeCounter::kOutdatedServed);
   s.reloads = counters_.Total(ServeCounter::kReloads);
   s.reload_failures = counters_.Total(ServeCounter::kReloadFailures);

@@ -45,10 +45,10 @@ struct ServeOptions {
   /// Single-flight coalescing: concurrent requests for the same query
   /// join the computation already in flight instead of re-running
   /// parse→rewrite→match→answer. All waiters of a flight receive the same
-  /// value or the same typed error; deadline and stale-fallback semantics
-  /// stay per-waiter. Flights are keyed per store epoch, so a request
-  /// admitted after a hot reload never receives a previous epoch's answer
-  /// unflagged. Disable to measure or serve without coalescing.
+  /// value or the same typed error; deadline semantics stay per-waiter.
+  /// Flights are keyed per store epoch, so a request admitted after a hot
+  /// reload never receives a previous epoch's answer unflagged. Disable to
+  /// measure or serve without coalescing.
   bool enable_coalescing = true;
   /// Cells for the sharded stats counters; 0 sizes them automatically
   /// from num_threads and the hardware concurrency.
@@ -69,21 +69,12 @@ struct ServeOptions {
   /// Deadline applied to every request that does not carry its own
   /// timeout. Zero means no deadline.
   std::chrono::nanoseconds default_timeout{0};
-  /// Retry schedule for transient answer-path failures (injected faults,
-  /// Unavailable). Semantic failures (parse, NotFound, ...) never retry.
-  /// The same policy paces store-load retries inside Reload.
+  /// Retry schedule for transient store-load failures inside Reload (the
+  /// bundle read is file I/O). The answer path never retries: answering is
+  /// deterministic, so a second attempt would fail the same way.
   RetryPolicy retry;
-  /// Circuit breaker over the answer path: trips after consecutive
-  /// transient failures, rejects fast while open, half-opens on a probe.
-  /// failure_threshold = 0 disables it.
-  CircuitBreakerOptions answer_breaker;
   /// Circuit breaker over bundle loading (Reload).
   CircuitBreakerOptions store_breaker;
-  /// Graceful degradation: when the answer path fails transiently (or the
-  /// answer breaker is open) and the cache still holds this query's
-  /// answer from a previous epoch, serve it flagged stale instead of
-  /// erroring.
-  bool serve_stale = true;
 
   // ---- Overload control (serve/overload.h). --------------------------------
 
@@ -93,10 +84,6 @@ struct ServeOptions {
   /// drops requests whose deadline the service-time estimate says cannot
   /// be met, after the estimator warms up).
   OverloadOptions overload;
-  /// Server-wide retry budget: bounds how many extra attempts the retry
-  /// machinery may add on top of the offered load, so retries cannot
-  /// amplify the overload that caused the failures being retried.
-  RetryBudgetOptions retry_budget;
 
   // ---- Synopsis-lifecycle staleness policy. --------------------------------
 
@@ -120,15 +107,14 @@ struct ServeOptions {
   double min_group_count = 0;
 };
 
-/// One served answer. `stale` marks a degraded response: the value comes
-/// from a previous epoch's cache because the live answer path was
-/// failing; it is exactly the value that bundle produced, just possibly
-/// outdated relative to the current one. `attempts` counts answer-path
-/// attempts this request consumed itself (> 1 means retries happened;
-/// 0 means the request never ran the answer path — a fresh cache hit or
-/// a coalesced waiter). `coalesced` marks a request that was resolved by
-/// another request's flight (single-flight join or batch dedup) rather
-/// than its own computation.
+/// One served answer. `stale` marks a brownout response: under sustained
+/// overload a shed request is answered from the cache (any epoch) instead
+/// of an error; the value is exactly what some bundle produced, just
+/// possibly outdated relative to the current one. `attempts` is 1 when
+/// this request ran the answer path itself, and 0 when it did not (a
+/// cache hit, a brownout answer or a coalesced waiter). `coalesced` marks
+/// a request that was resolved by another request's flight (single-flight
+/// join or batch dedup) rather than its own computation.
 struct ServedAnswer {
   double value = 0;
   bool stale = false;
@@ -142,7 +128,7 @@ struct ServedAnswer {
   /// originating entry's lifecycle is unknown).
   bool outdated = false;
   /// Store epoch and republish generation the answer was computed (or,
-  /// for `stale`, degraded) under.
+  /// for `stale`, browned out) under.
   uint64_t epoch = 0;
   uint64_t generation = 0;
   /// Grouped answers: the row set (group keys, noisy aggregates, per-row
@@ -153,10 +139,6 @@ struct ServedAnswer {
   /// cache hits and coalesced waiters all hand out the same object.
   std::shared_ptr<const aggregate::GroupedData> rows;
 };
-
-/// Alias making call sites that serve grouped row sets read naturally;
-/// same type — scalar and grouped answers flow through one pipeline.
-using ServedResult = ServedAnswer;
 
 /// Concurrent query answering over a loaded SynopsisStore: the operational
 /// complement of ViewRewriteEngine. Prepare/Publish runs once, offline,
@@ -197,11 +179,10 @@ using ServedResult = ServedAnswer;
 /// Flight keys include the store epoch: a request admitted after a hot
 /// reload starts a fresh flight against the new bundle rather than
 /// receiving the old epoch's value unflagged. Every waiter of a flight
-/// receives the same value or the same typed error; deadlines and stale
-/// degradation are applied per waiter at resolution. A fresh cache hit
-/// never consults or creates a flight, and a completing flight writes
-/// each of its cache keys exactly once (leader only), no matter how many
-/// waiters it resolved.
+/// receives the same value or the same typed error; deadlines are applied
+/// per waiter at resolution. A fresh cache hit never consults or creates
+/// a flight, and a completing flight writes each of its cache keys
+/// exactly once (leader only), no matter how many waiters it resolved.
 ///
 /// ## Batched submission
 ///
@@ -221,19 +202,19 @@ using ServedResult = ServedAnswer;
 ///   flight resolves (a successful flight still delivers its value —
 ///   success beats the deadline race, exactly as in the uncoalesced
 ///   path, where no deadline check follows a successful answer).
-/// - **Retries**: transient answer-path failures retry under
-///   `options.retry` with exponential backoff and deterministic seeded
-///   jitter, capped by the flight deadline.
-/// - **Circuit breakers**: one per fault domain (answer path, store
-///   load). Consecutive transient failures trip the breaker; while open,
-///   requests fail fast with Unavailable (or degrade to a stale answer).
-/// - **Stale serving**: a cache entry from a previous epoch is never
-///   returned as fresh, but when the live path fails it is served with
-///   `stale = true` rather than an error — per waiter: each waiter
-///   degrades on its own stale candidate (or the flight's shared one).
-/// - **Hot reload**: Reload atomically swaps in a freshly loaded bundle
-///   (epoch/RCU-style shared_ptr swap). In-flight queries finish against
-///   the epoch they started under; new requests see the new bundle.
+/// - **Failure semantics of the answer path**: answering is deterministic
+///   post-processing of immutable arrays, so each flight makes exactly
+///   one attempt. A failure is typed, shared by every waiter of the flight
+///   and never cached; an entry from a previous epoch is never served in
+///   its place.
+/// - **Overload**: admission limiter, deadline-aware queue discipline,
+///   priority classes, and brownout, which serves cached answers flagged
+///   `stale` instead of shedding (serve/overload.h).
+/// - **Hot reload**: Reload reads the bundle (file I/O, so it retries
+///   under `options.retry` behind the store-load circuit breaker) and
+///   atomically swaps it in (epoch/RCU-style shared_ptr swap). In-flight
+///   queries finish against the epoch they started under; new requests
+///   see the new bundle.
 /// - **Shutdown**: stops intake, drains every accepted request, joins
 ///   workers. Coalesced waiters are never abandoned: queued requests
 ///   resolve through their flight's leader during the drain, and any
@@ -291,8 +272,8 @@ class QueryServer {
       Priority priority = Priority::kInteractive);
 
   /// Synchronous convenience: answers on the calling thread, bypassing
-  /// the queue (still uses the cache, coalescing, retries, breakers and
-  /// stats; may resolve other requests' waiters if it leads a flight).
+  /// the queue (still uses the cache, coalescing and stats; may resolve
+  /// other requests' waiters if it leads a flight).
   Result<ServedAnswer> Answer(const std::string& sql,
                               const ParamMap& params = {},
                               std::chrono::nanoseconds timeout =
@@ -346,15 +327,8 @@ class QueryServer {
     std::chrono::steady_clock::time_point enqueue_time;
     std::promise<Result<ServedAnswer>> promise;
     /// Batch-deduped duplicates of this task's sql: resolved together
-    /// with the task, sharing its deadline and stale candidate.
+    /// with the task, sharing its deadline.
     std::vector<std::promise<Result<ServedAnswer>>> followers;
-  };
-
-  /// Previous-epoch cache payload kept as a degradation fallback: the
-  /// scalar value plus, for grouped answers, the row set it carried.
-  struct StalePayload {
-    double value = 0;
-    std::shared_ptr<const aggregate::GroupedData> rows;
   };
 
   /// One request waiting on a flight's outcome. The leader's own promise
@@ -363,26 +337,24 @@ class QueryServer {
   struct Waiter {
     std::promise<Result<ServedAnswer>> promise;
     Deadline deadline;
-    std::optional<StalePayload> stale_candidate;
     bool coalesced = false;
   };
 
   /// One in-flight computation. Registered in `flights_` under its
   /// epoch-qualified raw key and, once the leader has rewritten the
-  /// query, also under the epoch-qualified canonical key. `waiters`,
-  /// `keys` and `shared_stale` are guarded by `flights_mu_`; the
-  /// effective deadline is an atomic nanosecond timestamp so the leader
-  /// can poll it lock-free at stage boundaries while joiners extend it.
+  /// query, also under the epoch-qualified canonical key. `waiters` and
+  /// `keys` are guarded by `flights_mu_`; the effective deadline is an
+  /// atomic nanosecond timestamp so the leader can poll it lock-free at
+  /// stage boundaries while joiners extend it.
   struct Flight {
     std::vector<Waiter> waiters;
     std::vector<std::string> keys;
-    std::optional<StalePayload> shared_stale;
     std::atomic<int64_t> deadline_ns{kInfiniteDeadlineNs};
     uint64_t epoch = 0;
   };
 
   /// What a completed flight delivers to every waiter: a value (status
-  /// OK) or a typed error, plus the attempts the leader consumed and the
+  /// OK) or a typed error, plus the attempts the leader made (0 or 1) and the
   /// snapshot provenance (epoch/generation/outdated flag) every waiter's
   /// ServedAnswer is stamped with. `rows` carries a grouped answer's row
   /// set (null for scalar flights).
@@ -425,21 +397,20 @@ class QueryServer {
   /// short-circuit, flight join-or-lead, compute, resolve.
   void Process(Task task);
   /// Leader computation: parse → rewrite → canonical coalesce/cache →
-  /// breaker/retry answer loop. Returns nullopt when this flight merged
-  /// into a canonical-equal one (its waiters moved over; nothing to
-  /// resolve here).
+  /// one answer attempt. Returns nullopt when this flight merged into a
+  /// canonical-equal one (its waiters moved over; nothing to resolve
+  /// here).
   std::optional<FlightOutcome> ComputeAnswer(const std::shared_ptr<Flight>& f,
                                              const StoreSnapshot& snap,
                                              const std::string& sql,
                                              const ParamMap& params,
                                              const std::string& raw_key);
   /// Deregisters the flight, extracts its waiters and resolves each one
-  /// under its own deadline/stale semantics.
+  /// under its own deadline.
   void FinishFlight(const std::shared_ptr<Flight>& flight,
                     const FlightOutcome& out);
-  Result<ServedAnswer> ResolveWaiter(
-      Waiter& w, const FlightOutcome& out,
-      const std::optional<StalePayload>& shared_stale);
+  static Result<ServedAnswer> ResolveWaiter(const Waiter& w,
+                                            const FlightOutcome& out);
   /// Counts one resolved request (completed/failed and their subsets).
   void RecordOutcome(const Result<ServedAnswer>& r);
   Deadline MakeDeadline(std::chrono::nanoseconds timeout) const;
@@ -447,8 +418,6 @@ class QueryServer {
   static int64_t DeadlineNanos(const Deadline& d);
   static void RelaxFlightDeadline(Flight& flight, const Deadline& d);
   static bool FlightDeadlineExpired(const Flight& flight);
-  static std::chrono::nanoseconds FlightDeadlineRemaining(
-      const Flight& flight);
 
   mutable std::mutex store_mu_;  // guards store_ swap; held only briefly
   std::shared_ptr<const SynopsisStore> store_;
@@ -458,7 +427,6 @@ class QueryServer {
   ServeOptions options_;
   Rewriter rewriter_;
   std::unique_ptr<AnswerCache> cache_;  // null when disabled
-  CircuitBreaker answer_breaker_;
   CircuitBreaker store_breaker_;
 
   std::mutex mu_;
@@ -473,7 +441,6 @@ class QueryServer {
   std::vector<std::thread> workers_;
 
   mutable OverloadController overload_;
-  RetryBudget retry_budget_;
   mutable ShardedServeCounters counters_;
 };
 

@@ -6,8 +6,8 @@ namespace viewrewrite {
 
 std::ostream& operator<<(std::ostream& os, const ServeStats& s) {
   os << "serve: submitted=" << s.submitted << " completed=" << s.completed
-     << " failed=" << s.failed << " rejected=" << s.rejected;
-  if (s.rejected > 0) {
+     << " failed=" << s.failed << " rejected=" << s.rejected();
+  if (s.rejected() > 0) {
     os << " (queue_full=" << s.rejected_queue_full
        << " shutdown=" << s.rejected_shutdown
        << " oversized=" << s.rejected_oversized
@@ -23,8 +23,7 @@ std::ostream& operator<<(std::ostream& os, const ServeStats& s) {
      << " brownout_active=" << (s.brownout_active ? 1 : 0)
      << " limiter_limit=" << s.limiter_limit
      << " limiter_in_flight=" << s.limiter_in_flight
-     << " service_estimate_seconds=" << s.service_estimate_seconds
-     << " retry_budget_exhausted=" << s.retry_budget_exhausted;
+     << " service_estimate_seconds=" << s.service_estimate_seconds;
   os << " | coalescing: flights=" << s.flights
      << " coalesced_waiters=" << s.coalesced_waiters
      << " merged_flights=" << s.merged_flights
@@ -33,10 +32,8 @@ std::ostream& operator<<(std::ostream& os, const ServeStats& s) {
      << " batch_queries=" << s.batch_queries
      << " batch_deduped=" << s.batch_deduped;
   os << " | resilience: retries=" << s.retries
-     << " retry_successes=" << s.retry_successes
      << " breaker_trips=" << s.breaker_trips
      << " breaker_rejected=" << s.breaker_rejected
-     << " stale_served=" << s.stale_served
      << " outdated_served=" << s.outdated_served << " reloads=" << s.reloads
      << " reload_failures=" << s.reload_failures << " epoch=" << s.epoch
      << " generation=" << s.generation;

@@ -14,14 +14,13 @@ namespace viewrewrite {
 /// returned by QueryServer::stats(); the server maintains the fields in
 /// sharded per-core cells (ShardedServeCounters below) aggregated at
 /// snapshot time. Overload and degradation are first-class here: every
-/// rejection, retry, breaker event, stale serve and reload is counted, so
-/// a degraded server is observable rather than silently slow.
+/// rejection, shed, brownout answer, store-load retry, breaker event and
+/// reload is counted, so a degraded server is observable rather than
+/// silently slow.
 struct ServeStats {
   uint64_t submitted = 0;      // Submit calls accepted into the queue
   uint64_t completed = 0;      // answered successfully (including stale)
   uint64_t failed = 0;         // finished with a non-OK status
-  uint64_t rejected = 0;  // refused at Submit (full / shut down / oversized /
-                          // already expired)
   uint64_t rejected_queue_full = 0;  // subset of rejected: bounded queue full
   uint64_t rejected_shutdown = 0;    // subset of rejected: server shut down
   uint64_t rejected_oversized = 0;   // subset of rejected: SQL over the
@@ -30,15 +29,19 @@ struct ServeStats {
                                      // deadline had already expired at Submit
                                      // (resolved synchronously, also counted
                                      // failed + deadline_exceeded)
+  /// Refused at Submit (full / shut down / oversized / already expired).
+  uint64_t rejected() const {
+    return rejected_queue_full + rejected_shutdown + rejected_oversized +
+           rejected_expired;
+  }
   uint64_t unmatched = 0;      // no stored view could answer (subset of failed)
   uint64_t deadline_exceeded = 0;  // requests past deadline (subset of failed)
   uint64_t expired_in_queue = 0;   // subset of deadline_exceeded: the request
                                    // timed out before a worker picked it up
-  uint64_t retries = 0;            // extra answer attempts beyond the first
-  uint64_t retry_successes = 0;    // answers that succeeded after >=1 retry
-  uint64_t breaker_rejected = 0;   // fast-failed while a breaker was open
-  uint64_t breaker_trips = 0;      // closed->open transitions, both domains
-  uint64_t stale_served = 0;   // degraded answers from a previous epoch's cache
+  uint64_t retries = 0;            // extra store-load attempts inside Reload
+  uint64_t breaker_rejected = 0;   // reloads fast-failed by the open store
+                                   // breaker
+  uint64_t breaker_trips = 0;      // store breaker closed->open transitions
   uint64_t outdated_served = 0;  // successful answers that touched a view the
                                  // staleness policy flags outdated (its base
                                  // relation changed in a generation whose
@@ -61,13 +64,11 @@ struct ServeStats {
   uint64_t shed_displaced = 0;  // accepted requests evicted from a full queue
                                 // by a higher-priority arrival (resolved with
                                 // ResourceExhausted, counted failed)
-  uint64_t shed_queue = 0;      // shed_hopeless + shed_displaced: the shed
-                                // channels inside the conservation law
+  /// The shed channels inside the conservation law.
+  uint64_t shed_queue() const { return shed_hopeless + shed_displaced; }
   uint64_t brownout_served = 0;  // sheds converted into stale cache answers by
-                                 // brownout mode (counted completed + stale,
-                                 // never submitted)
-  uint64_t retry_budget_exhausted = 0;  // retries suppressed because the
-                                        // server-wide retry budget was empty
+                                 // brownout mode (counted completed, never
+                                 // submitted); the only stale answers
   double limiter_limit = 0;       // adaptive concurrency limit at snapshot
   uint64_t limiter_in_flight = 0;  // admitted-but-unfinished requests held by
                                    // the limiter at snapshot
@@ -135,8 +136,6 @@ enum class ServeCounter : size_t {
   kDeadlineExceeded,
   kExpiredInQueue,
   kRetries,
-  kRetrySuccesses,
-  kStaleServed,
   kOutdatedServed,
   kReloads,
   kReloadFailures,

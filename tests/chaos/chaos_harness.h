@@ -13,9 +13,11 @@
 //      stages failed (spent <= total, both in the engine accountant and
 //      in the persisted bundle header).
 //   4. Every served response is one of: bit-identical to the fault-free
-//      answer, the same value flagged stale, or a typed error from the
-//      small set the resilience layer emits. Nothing else — no silent
-//      wrong answers.
+//      answer, a brownout answer flagged stale (a cached value some
+//      generation produced; stale responses == brownout_served exactly,
+//      so the answer path itself never degrades to a stale value), or a
+//      typed error from the small set the serve path emits. Nothing
+//      else — no silent wrong answers.
 //   5. Coalescing conservation: every accepted request resolves through
 //      exactly one of the serve channels, so after shutdown
 //        flights + coalesced_waiters + cache_short_circuits
@@ -82,7 +84,7 @@ struct ChaosConfig {
 struct ChaosRunResult {
   uint64_t published_views = 0;
   uint64_t fresh = 0;       // responses bit-identical to the baseline
-  uint64_t stale = 0;       // degraded responses (value still baseline)
+  uint64_t stale = 0;       // brownout responses (value still a baseline)
   uint64_t errors = 0;      // typed errors
   // Coalescing observability (from the server's post-shutdown stats):
   // how the accepted requests split across the four resolution channels,
@@ -136,7 +138,7 @@ inline double UniformP(std::mt19937_64& rng, double max_p) {
 inline bool IsAllowedServeError(StatusCode code) {
   switch (code) {
     case StatusCode::kInternal:           // the injected fault itself
-    case StatusCode::kUnavailable:        // breaker open / queue / shutdown
+    case StatusCode::kUnavailable:        // queue full / shutdown
     case StatusCode::kDeadlineExceeded:   // per-request deadline
     case StatusCode::kNotFound:           // no stored view covers the query
     case StatusCode::kResourceExhausted:  // overload shed (limiter/displaced)
@@ -357,12 +359,10 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
   serve_options.enable_cache = (rng() % 4) != 0;  // mostly on, sometimes off
   serve_options.enable_coalescing = (rng() % 5) != 0;  // mostly on
   result.coalescing_enabled = serve_options.enable_coalescing;
+  // Paces the store-load retries of the mid-run Reload(path) calls.
   serve_options.retry.max_attempts = 3;
   serve_options.retry.initial_backoff = std::chrono::microseconds(50);
   serve_options.retry.max_backoff = std::chrono::microseconds(400);
-  serve_options.answer_breaker.failure_threshold = 6;
-  serve_options.answer_breaker.open_duration = std::chrono::milliseconds(2);
-  serve_options.serve_stale = true;
   serve_options.min_group_count = suppression.min_group_count;
   // Overload control, seed-varied. This harness is closed-loop (submit
   // everything, then wait), so deep queues are its normal operating
@@ -555,7 +555,7 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
 
     // Invariants 2 and 4/6: every future resolves in bounded time, to a
     // value bit-identical to the baseline of the generation it claims, a
-    // stale copy from some published generation, or an allowed typed
+    // brownout copy from some published generation, or an allowed typed
     // error.
     for (size_t r = 0; r < futures.size(); ++r) {
       if (futures[r].wait_for(config.future_wait) !=
@@ -620,7 +620,7 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
       }
       if (got.ok()) {
         if (got->stale) {
-          // A stale answer is a cached value from some earlier epoch; the
+          // A brownout answer is a cached value from some epoch; the
           // entry does not carry its generation, so the check is
           // membership: the value must be bit-identical to SOME
           // generation's baseline for this query. Anything else is a
@@ -681,6 +681,11 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
     if (sstats.completed != result.fresh + result.stale) {
       violate("stats.completed disagrees with resolved futures");
     }
+    if (sstats.brownout_served != result.stale) {
+      violate("stale responses (" + std::to_string(result.stale) +
+              ") are not all brownout answers (brownout_served " +
+              std::to_string(sstats.brownout_served) + ")");
+    }
     if (sstats.deadline_exceeded != deadline_hits) {
       violate("stats.deadline_exceeded disagrees with observed responses");
     }
@@ -700,7 +705,7 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
     result.brownout_served = sstats.brownout_served;
     if (sstats.flights + sstats.coalesced_waiters +
             sstats.cache_short_circuits + sstats.expired_in_queue +
-            sstats.shed_queue !=
+            sstats.shed_queue() !=
         sstats.submitted) {
       violate("conservation violated: flights " +
               std::to_string(sstats.flights) + " + coalesced_waiters " +
@@ -709,7 +714,7 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
               std::to_string(sstats.cache_short_circuits) +
               " + expired_in_queue " +
               std::to_string(sstats.expired_in_queue) + " + shed_queue " +
-              std::to_string(sstats.shed_queue) + " != submitted " +
+              std::to_string(sstats.shed_queue()) + " != submitted " +
               std::to_string(sstats.submitted));
     }
     // Admission-side accounting: sheds and brownout conversions happen

@@ -229,27 +229,47 @@ inline OverloadRunResult RunOverloadSeed(uint64_t seed,
 
   uint64_t issued_total = 0;
 
-  // ---- Closed-loop calibration: one request at a time, full pipeline. ------
-  // This is by construction at capacity for one worker: the next request
-  // is only offered when the previous one finished.
-  uint64_t calib_done = 0;
+  // ---- Closed-loop calibration: one submitter per worker, full pipeline. ---
+  // Each submitter offers its next request only when the previous one
+  // finished, so every worker has work without a queue building up. One
+  // submitter alone would measure a single worker slowed by two thread
+  // hand-offs per request, under-measuring the server several-fold; the
+  // "overloaded" 2x phase would then fall below capacity.
+  const size_t submitters = std::max<size_t>(1, config.num_threads);
+  std::vector<uint64_t> calib_issued(submitters, 0);
+  std::vector<uint64_t> calib_answered(submitters, 0);
+  std::vector<std::string> calib_errors(submitters);
   {
     const Clock::time_point until = Clock::now() + config.calibration;
-    while (Clock::now() < until) {
-      const size_t qi = calib_done % workload.size();
-      Result<ServedAnswer> got = server.Submit(workload[qi]).get();
-      ++issued_total;
-      if (!got.ok()) {
-        violate("calibration request failed: " + got.status().ToString());
-        return result;
-      }
-      if (got->value != baseline[qi]) {
-        violate("calibration answer diverged from baseline");
-        return result;
-      }
-      ++calib_done;
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < submitters; ++t) {
+      threads.emplace_back([&, t] {
+        while (Clock::now() < until) {
+          const size_t qi = (calib_answered[t] + t) % workload.size();
+          Result<ServedAnswer> got = server.Submit(workload[qi]).get();
+          ++calib_issued[t];
+          if (!got.ok()) {
+            calib_errors[t] =
+                "calibration request failed: " + got.status().ToString();
+            return;
+          }
+          if (got->value != baseline[qi]) {
+            calib_errors[t] = "calibration answer diverged from baseline";
+            return;
+          }
+          ++calib_answered[t];
+        }
+      });
     }
+    for (std::thread& thread : threads) thread.join();
   }
+  uint64_t calib_done = 0;
+  for (size_t t = 0; t < submitters; ++t) {
+    issued_total += calib_issued[t];
+    calib_done += calib_answered[t];
+    if (!calib_errors[t].empty()) violate(calib_errors[t]);
+  }
+  if (!result.violations.empty()) return result;
   result.capacity_qps =
       static_cast<double>(calib_done) /
       std::chrono::duration<double>(config.calibration).count();
@@ -416,22 +436,21 @@ inline OverloadRunResult RunOverloadSeed(uint64_t seed,
   result.brownout_served = stats.brownout_served;
   result.limiter_limit = stats.limiter_limit;
   if (stats.flights + stats.coalesced_waiters + stats.cache_short_circuits +
-          stats.expired_in_queue + stats.shed_hopeless +
-          stats.shed_displaced !=
+          stats.expired_in_queue + stats.shed_queue() !=
       stats.submitted) {
     violate("conservation violated: flights " + std::to_string(stats.flights) +
             " + coalesced " + std::to_string(stats.coalesced_waiters) +
             " + cache " + std::to_string(stats.cache_short_circuits) +
             " + expired_in_queue " + std::to_string(stats.expired_in_queue) +
-            " + shed_queue " + std::to_string(stats.shed_queue) +
+            " + shed_queue " + std::to_string(stats.shed_queue()) +
             " != submitted " + std::to_string(stats.submitted));
   }
-  if (stats.submitted + stats.rejected + stats.shed_admission +
+  if (stats.submitted + stats.rejected() + stats.shed_admission +
           stats.brownout_served !=
       issued_total) {
     violate("admission accounting violated: submitted " +
             std::to_string(stats.submitted) + " + rejected " +
-            std::to_string(stats.rejected) + " + shed_admission " +
+            std::to_string(stats.rejected()) + " + shed_admission " +
             std::to_string(stats.shed_admission) + " + brownout_served " +
             std::to_string(stats.brownout_served) + " != issued " +
             std::to_string(issued_total));

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
+#include <thread>
 #include <vector>
 
 namespace viewrewrite {
@@ -112,6 +115,44 @@ TEST_F(FaultInjectionTest, ScopedFaultDisarmsOnDestruction) {
   }
   EXPECT_FALSE(FaultInjection::Armed());
   EXPECT_TRUE(GuardedOperation("test.scoped").ok());
+}
+
+TEST_F(FaultInjectionTest, DelayOnNthHoldsOnlyTheNthHitAndPasses) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::chrono::milliseconds kDelay(200);
+  FaultInjection::Instance().DelayOnNth("test.delay", 2, kDelay);
+  std::vector<Clock::duration> took;
+  for (int i = 0; i < 3; ++i) {
+    const Clock::time_point t0 = Clock::now();
+    EXPECT_TRUE(GuardedOperation("test.delay").ok()) << "hit " << i + 1;
+    took.push_back(Clock::now() - t0);
+  }
+  EXPECT_LT(took[0], kDelay);
+  EXPECT_GE(took[1], kDelay);
+  EXPECT_LT(took[2], kDelay);  // fires at most once, like FailOnNth
+  EXPECT_EQ(FaultInjection::Instance().HitCount("test.delay"), 3u);
+}
+
+TEST_F(FaultInjectionTest, DelaySleepsOutsideTheRegistryLock) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::chrono::milliseconds kDelay(1500);
+  FaultInjection::Instance().DelayOnNth("test.slow", 1, kDelay);
+  FaultInjection::Instance().FailOnNth("test.other", 1);
+
+  const Clock::time_point t0 = Clock::now();
+  std::future<Status> slow = std::async(std::launch::async, [] {
+    return GuardedOperation("test.slow");
+  });
+  // HitCount and Check both take the registry lock: while the slow hit
+  // sleeps they must still return promptly.
+  while (FaultInjection::Instance().HitCount("test.slow") == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(GuardedOperation("test.other").ok());
+  EXPECT_LT(Clock::now() - t0, kDelay);
+
+  EXPECT_TRUE(slow.get().ok());
+  EXPECT_GE(Clock::now() - t0, kDelay);
 }
 
 }  // namespace

@@ -32,59 +32,6 @@ TEST(RetryableStatusTest, ResourceExhaustedIsNeverRetryable) {
   EXPECT_FALSE(IsRetryableStatus(StatusCode::kResourceExhausted));
 }
 
-TEST(RetryBudgetTest, InitialTokensAllowEarlyRetriesThenRatioGoverns) {
-  RetryBudgetOptions options;
-  options.initial_tokens = 2;
-  options.ratio = 0.1;
-  options.max_tokens = 100;
-  RetryBudget budget(options);
-  EXPECT_TRUE(budget.TryRetry());
-  EXPECT_TRUE(budget.TryRetry());
-  // The free allowance is spent; with no requests recorded, retries stop.
-  EXPECT_FALSE(budget.TryRetry());
-  EXPECT_EQ(budget.exhausted(), 1u);
-  // Ten recorded requests earn exactly one retry at ratio 0.1.
-  for (int i = 0; i < 10; ++i) budget.RecordRequest();
-  EXPECT_TRUE(budget.TryRetry());
-  EXPECT_FALSE(budget.TryRetry());
-  EXPECT_EQ(budget.exhausted(), 2u);
-}
-
-TEST(RetryBudgetTest, BalanceIsCappedAtMaxTokens) {
-  RetryBudgetOptions options;
-  options.initial_tokens = 0;
-  options.ratio = 1.0;
-  options.max_tokens = 3;
-  RetryBudget budget(options);
-  for (int i = 0; i < 100; ++i) budget.RecordRequest();
-  EXPECT_DOUBLE_EQ(budget.tokens(), 3.0);
-  EXPECT_TRUE(budget.TryRetry());
-  EXPECT_TRUE(budget.TryRetry());
-  EXPECT_TRUE(budget.TryRetry());
-  EXPECT_FALSE(budget.TryRetry());
-}
-
-TEST(RetryBudgetTest, BoundsRetryAmplificationUnderSystemicFailure) {
-  // N requests that all fail and would all like to retry: the total
-  // retries granted stay near initial + ratio x N instead of N x
-  // (max_attempts - 1).
-  RetryBudgetOptions options;
-  options.initial_tokens = 10;
-  options.ratio = 0.1;
-  options.max_tokens = 1000;
-  RetryBudget budget(options);
-  const int kRequests = 1000;
-  int granted = 0;
-  for (int i = 0; i < kRequests; ++i) {
-    budget.RecordRequest();
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (budget.TryRetry()) ++granted;
-    }
-  }
-  EXPECT_LE(granted, 10 + kRequests / 10 + 1);
-  EXPECT_GE(granted, 10);
-}
-
 TEST(BackoffTest, GrowsExponentiallyWithoutJitter) {
   RetryPolicy policy;
   policy.initial_backoff = milliseconds(1);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datagen/tpch.h"
 #include "engine/private_sql_engine.h"
 #include "engine/viewrewrite_engine.h"
@@ -143,6 +145,50 @@ TEST_F(PrivateSqlTest, DeterministicAcrossRuns) {
       EXPECT_EQ(*noisy, first);
     }
   }
+}
+
+TEST_F(PrivateSqlTest, PrepareParsesUnderTheEngineLimits) {
+  // The baseline governs untrusted workload text with the same
+  // EngineOptions::limits as ViewRewrite: an oversized query is
+  // quarantined with ResourceExhausted in both engines.
+  const std::string sql =
+      "SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= 4096";
+  EngineOptions opts;
+  opts.limits.max_sql_bytes = 16;
+  ASSERT_GT(sql.size(), opts.limits.max_sql_bytes);
+
+  PrivateSqlEngine engine(*db_, PrivacyPolicy{"orders"}, opts);
+  EXPECT_FALSE(engine.Prepare({sql}).ok());
+  ASSERT_EQ(engine.report().query_status.size(), 1u);
+  EXPECT_EQ(engine.report().query_status[0].code(),
+            StatusCode::kResourceExhausted)
+      << engine.report().query_status[0];
+
+  ViewRewriteEngine vr(*db_, PrivacyPolicy{"orders"}, opts);
+  EXPECT_FALSE(vr.Prepare({sql}).ok());
+  ASSERT_EQ(vr.report().query_status.size(), 1u);
+  EXPECT_EQ(vr.report().query_status[0].code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST_F(PrivateSqlTest, NonFiniteEpsilonReportsAPoisonedBudget) {
+  // A NaN budget poisons the accountant: nothing is spent, and the stats
+  // say so instead of reporting an untouched zero budget.
+  const std::vector<std::string> workload = {
+      "SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= 4096"};
+  EngineOptions opts;
+  opts.epsilon = std::numeric_limits<double>::quiet_NaN();
+
+  PrivateSqlEngine engine(*db_, PrivacyPolicy{"orders"}, opts);
+  (void)engine.Prepare(workload);
+  EXPECT_TRUE(engine.stats().budget_poisoned);
+  EXPECT_EQ(engine.stats().budget_spent_epsilon, 0.0);
+
+  ViewRewriteEngine vr(*db_, PrivacyPolicy{"orders"}, opts);
+  (void)vr.Prepare(workload);
+  EXPECT_TRUE(vr.stats().budget_poisoned);
+  EXPECT_EQ(engine.stats().budget_total_epsilon,
+            vr.stats().budget_total_epsilon);
 }
 
 }  // namespace

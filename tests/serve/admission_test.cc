@@ -55,7 +55,7 @@ TEST_F(AdmissionTest, OversizedSqlRejectedBeforeQueueing) {
 
   ServeStats stats = server.stats();
   EXPECT_EQ(stats.rejected_oversized, 1u);
-  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.rejected(), 1u);
   // Never entered the pipeline: not submitted, not failed.
   EXPECT_EQ(stats.submitted, 0u);
   EXPECT_EQ(stats.failed, 0u);

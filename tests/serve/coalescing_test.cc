@@ -21,11 +21,11 @@ using std::chrono::milliseconds;
 /// never consults the flight table.
 ///
 /// The tests open a deterministic coalescing window with fault injection:
-/// the leader's first answer attempt fails and the retry backoff parks
-/// the flight for long enough that duplicates submitted meanwhile must
-/// join it. The window is hundreds of milliseconds against joins that
-/// take microseconds, so the joins land inside it on any sane scheduler
-/// (including under TSan); the waits below are bounded, never unbounded.
+/// a delay fault parks the leader at a pipeline stage for long enough that
+/// duplicates submitted meanwhile must join its flight. The window is
+/// hundreds of milliseconds against joins that take microseconds, so the
+/// joins land inside it on any sane scheduler (including under TSan); the
+/// waits below are bounded, never unbounded.
 class CoalescingTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -34,18 +34,18 @@ class CoalescingTest : public ::testing::Test {
   }
   void TearDown() override { FaultInjection::Instance().DisableAll(); }
 
-  /// Options that hold a leader in retry backoff for ~`window`: attempt 1
-  /// fails (OnNth fault armed by the test), attempt 2 runs after the
-  /// backoff and succeeds.
-  static ServeOptions WindowOptions(milliseconds window) {
+  static ServeOptions WindowOptions() {
     ServeOptions options;
     options.num_threads = 4;
     options.enable_cache = false;  // force every request onto the flight path
-    options.retry.max_attempts = 2;
-    options.retry.initial_backoff = window;
-    options.retry.max_backoff = window;
-    options.retry.jitter = 0;
     return options;
+  }
+
+  /// Parks the first flight to reach the answer stage for ~`window`, after
+  /// it has registered both its raw and its canonical flight key; the
+  /// answer then succeeds.
+  static ScopedFault HoldFirstAnswer(milliseconds window) {
+    return ScopedFault::DelayOnNth(faults::kServeAnswer, 1, window);
   }
 
   /// Spins until `pred()` holds or `bound` elapses; returns whether it held.
@@ -63,13 +63,12 @@ class CoalescingTest : public ::testing::Test {
 };
 
 TEST_F(CoalescingTest, DuplicatesJoinOneFlightAndShareItsValue) {
-  QueryServer server(ctx_.store, ctx_.db->schema(),
-                     WindowOptions(milliseconds(600)));
-  ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+  QueryServer server(ctx_.store, ctx_.db->schema(), WindowOptions());
+  ScopedFault hold = HoldFirstAnswer(milliseconds(600));
 
   auto leader = server.Submit(ctx_.workload[0]);
   // The leader has registered its flight once stats show it; it now sits
-  // in retry backoff for the rest of the window.
+  // at the answer stage for the rest of the window.
   ASSERT_TRUE(SpinUntil([&] { return server.stats().flights >= 1; }));
 
   constexpr size_t kDuplicates = 6;
@@ -84,7 +83,7 @@ TEST_F(CoalescingTest, DuplicatesJoinOneFlightAndShareItsValue) {
   Result<ServedAnswer> led = leader.get();
   ASSERT_TRUE(led.ok()) << led.status();
   EXPECT_FALSE(led->coalesced);
-  EXPECT_EQ(led->attempts, 2u);  // first attempt hit the fault, retry won
+  EXPECT_EQ(led->attempts, 1u);
   for (auto& w : waiters) {
     Result<ServedAnswer> got = w.get();
     ASSERT_TRUE(got.ok()) << got.status();
@@ -100,16 +99,16 @@ TEST_F(CoalescingTest, DuplicatesJoinOneFlightAndShareItsValue) {
   EXPECT_EQ(stats.coalesced_waiters, kDuplicates);
   EXPECT_EQ(stats.max_flight_group, 1 + kDuplicates);
   EXPECT_EQ(stats.completed, 1 + kDuplicates);
-  EXPECT_EQ(stats.retries, 1u);          // the leader's, counted once
-  EXPECT_EQ(stats.retry_successes, 1u);  // never inflated per waiter
+  EXPECT_EQ(FaultInjection::Instance().HitCount(faults::kServeAnswer), 1u);
 }
 
 TEST_F(CoalescingTest, WaitersReceiveTheLeadersTypedError) {
-  ServeOptions options = WindowOptions(milliseconds(600));
-  options.serve_stale = false;
-  QueryServer server(ctx_.store, ctx_.db->schema(), options);
-  // Both attempts fail: the flight's outcome is the injected transient
-  // error, and every waiter must see that exact status code.
+  QueryServer server(ctx_.store, ctx_.db->schema(), WindowOptions());
+  // The leader is parked at rewrite (after its raw flight key exists),
+  // then its single answer attempt fails: the flight's outcome is the
+  // injected error, and every waiter must see that exact status code.
+  ScopedFault hold =
+      ScopedFault::DelayOnNth(faults::kRewrite, 1, milliseconds(600));
   ScopedFault fault = ScopedFault::EveryN(faults::kServeAnswer, 1);
 
   auto leader = server.Submit(ctx_.workload[1]);
@@ -138,11 +137,10 @@ TEST_F(CoalescingTest, WaitersReceiveTheLeadersTypedError) {
 
 TEST_F(CoalescingTest, CanonicalVariantsMergeIntoOneComputation) {
   // Wider window than the join tests: the second variant must get
-  // through parse + rewrite before the leader's backoff expires, which
-  // can exceed 600ms under sanitizer builds on a loaded machine.
-  QueryServer server(ctx_.store, ctx_.db->schema(),
-                     WindowOptions(milliseconds(2000)));
-  ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+  // through parse + rewrite before the leader's window closes, which can
+  // exceed 600ms under sanitizer builds on a loaded machine.
+  QueryServer server(ctx_.store, ctx_.db->schema(), WindowOptions());
+  ScopedFault hold = HoldFirstAnswer(milliseconds(2000));
 
   // Two textual variants of workload[0]: different raw keys, identical
   // canonical rewritten form. The second leads its own flight, discovers
@@ -173,9 +171,8 @@ TEST_F(CoalescingTest, CanonicalVariantsMergeIntoOneComputation) {
 }
 
 TEST_F(CoalescingTest, FlightsAreEpochKeyedAcrossReload) {
-  QueryServer server(ctx_.store, ctx_.db->schema(),
-                     WindowOptions(milliseconds(600)));
-  ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+  QueryServer server(ctx_.store, ctx_.db->schema(), WindowOptions());
+  ScopedFault hold = HoldFirstAnswer(milliseconds(600));
 
   auto before = server.Submit(ctx_.workload[2]);
   ASSERT_TRUE(SpinUntil([&] { return server.stats().flights >= 1; }));
@@ -233,10 +230,10 @@ TEST_F(CoalescingTest, FreshCacheHitNeverTouchesTheFlightTable) {
 }
 
 TEST_F(CoalescingTest, CoalescedFlightPopulatesEachCacheKeyOnce) {
-  ServeOptions options = WindowOptions(milliseconds(600));
+  ServeOptions options = WindowOptions();
   options.enable_cache = true;  // override: this test is about the cache
   QueryServer server(ctx_.store, ctx_.db->schema(), options);
-  ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+  ScopedFault hold = HoldFirstAnswer(milliseconds(600));
 
   auto leader = server.Submit(ctx_.workload[3]);
   ASSERT_TRUE(SpinUntil([&] { return server.stats().flights >= 1; }));
@@ -301,9 +298,8 @@ TEST_F(CoalescingTest, PropertyCoalescedAnswersEqualUncoalesced) {
 }
 
 TEST_F(CoalescingTest, DisablingCoalescingComputesEveryRequest) {
-  ServeOptions options = WindowOptions(milliseconds(100));
+  ServeOptions options = WindowOptions();
   options.enable_coalescing = false;
-  options.retry.max_attempts = 1;
   QueryServer server(ctx_.store, ctx_.db->schema(), options);
 
   constexpr size_t kRequests = 8;
@@ -327,9 +323,8 @@ constexpr char kGroupedAvg[] =
     "SELECT o_status, AVG(o_totalprice) FROM orders o GROUP BY o_status";
 
 TEST_F(CoalescingTest, GroupedDuplicatesShareOneFlightAndOneRowSet) {
-  QueryServer server(ctx_.store, ctx_.db->schema(),
-                     WindowOptions(milliseconds(600)));
-  ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+  QueryServer server(ctx_.store, ctx_.db->schema(), WindowOptions());
+  ScopedFault hold = HoldFirstAnswer(milliseconds(600));
 
   auto leader = server.Submit(kGroupedAvg);
   ASSERT_TRUE(SpinUntil([&] { return server.stats().flights >= 1; }));

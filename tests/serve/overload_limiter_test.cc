@@ -290,7 +290,6 @@ TEST_F(OverloadServeTest, BrownoutServesStaleCacheAnswerInsteadOfShedding) {
   ServeStats stats = server.stats();
   EXPECT_EQ(stats.brownout_served, 1u);
   EXPECT_EQ(stats.shed_admission, 1u);
-  EXPECT_EQ(stats.stale_served, 1u);
   EXPECT_EQ(stats.completed, 2u);   // primed + brownout
   EXPECT_EQ(stats.submitted, 1u);   // only the primer was accepted
   EXPECT_TRUE(stats.brownout_active);
@@ -304,19 +303,16 @@ TEST_F(OverloadServeTest, SaturatedLimiterShedsRealTraffic) {
   options.overload.limiter.initial_limit = 1;
   options.overload.limiter.min_limit = 1;
   options.overload.limiter.max_limit = 1;
-  // Pin the single worker in a retry backoff so the limiter's one slot
-  // stays held while the second Submit arrives.
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff = milliseconds(200);
-  options.retry.max_backoff = milliseconds(200);
-  options.retry.jitter = 0;
   QueryServer server(ctx_.store, ctx_.db->schema(), options);
 
   std::future<Result<ServedAnswer>> slow;
   {
-    ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+    // Pin the single worker at its answer stage so the limiter's one slot
+    // stays held while the second Submit arrives.
+    ScopedFault hold =
+        ScopedFault::DelayOnNth(faults::kServeAnswer, 1, milliseconds(200));
     slow = server.Submit(ctx_.workload[0]);
-    // Give the worker time to dequeue and enter the backoff sleep. The
+    // Give the worker time to dequeue and enter the delay. The
     // slot is held from admission to completion either way, so the shed
     // below is deterministic even if this race is lost.
     std::this_thread::sleep_for(milliseconds(20));

@@ -141,21 +141,18 @@ TEST_F(PriorityServeTest, InteractiveDisplacesQueuedBackgroundWhenFull) {
   options.num_threads = 1;
   options.queue_capacity = 1;
   options.enable_cache = false;
-  // Pin the single worker: attempt 1 takes an injected fault, the retry
-  // backoff holds it for 200ms while the queue fills behind it.
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff = milliseconds(200);
-  options.retry.max_backoff = milliseconds(200);
-  options.retry.jitter = 0;
   QueryServer server(ctx_.store, ctx_.db->schema(), options);
 
   std::future<Result<ServedAnswer>> slow;
   std::future<Result<ServedAnswer>> background;
   {
-    ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+    // Pin the single worker: a delay fault holds its answer stage for
+    // 200ms while the queue fills behind it.
+    ScopedFault hold =
+        ScopedFault::DelayOnNth(faults::kServeAnswer, 1, milliseconds(200));
     slow = server.Submit(ctx_.workload[0]);
-    // Let the worker dequeue it and enter the backoff sleep, freeing the
-    // single queue slot.
+    // Let the worker dequeue it and enter the delay, freeing the single
+    // queue slot.
     std::this_thread::sleep_for(milliseconds(30));
 
     background = server.Submit(ctx_.workload[1], {}, nanoseconds(0),
@@ -198,15 +195,12 @@ TEST_F(PriorityServeTest, NoVictimMeansQueueFullStaysUnavailable) {
   options.num_threads = 1;
   options.queue_capacity = 1;
   options.enable_cache = false;
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff = milliseconds(200);
-  options.retry.max_backoff = milliseconds(200);
-  options.retry.jitter = 0;
   QueryServer server(ctx_.store, ctx_.db->schema(), options);
 
   std::future<Result<ServedAnswer>> slow;
   {
-    ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+    ScopedFault hold =
+        ScopedFault::DelayOnNth(faults::kServeAnswer, 1, milliseconds(200));
     slow = server.Submit(ctx_.workload[0]);
     std::this_thread::sleep_for(milliseconds(30));
 

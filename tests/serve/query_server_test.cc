@@ -105,7 +105,7 @@ TEST_F(QueryServerTest, ConcurrentServingMatchesEngineAnswers) {
   EXPECT_EQ(stats.submitted, kSubmissions);
   EXPECT_EQ(stats.completed, kSubmissions);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.rejected(), 0u);
   // Each distinct query computes once (plus canonical-key misses); the
   // rest hit the cache.
   EXPECT_GT(stats.cache_hits, kSubmissions / 2);
@@ -173,7 +173,7 @@ TEST_F(QueryServerTest, FullQueueRejectsWithUnavailable) {
   auto result = server.Submit((*workload_)[0]).get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(server.stats().rejected, 1u);
+  EXPECT_EQ(server.stats().rejected(), 1u);
   EXPECT_EQ(server.stats().submitted, 0u);
 }
 

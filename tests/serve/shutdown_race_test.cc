@@ -93,19 +93,16 @@ TEST_F(ShutdownRaceTest, CoalescedWaitersResolveAcrossShutdown) {
   // shutdown racing a parked flight full of coalesced waiters must let
   // the flight's leader finish the drain and resolve every waiter — to
   // the answer or a typed Unavailable — and must never hang or abandon a
-  // promise. The flight is parked deterministically: its first answer
-  // attempt hits an injected fault and the retry backoff holds it for
-  // ~400ms while the duplicates pile on and Shutdown lands mid-flight.
+  // promise. The flight is parked deterministically: a delay fault holds
+  // its answer stage for ~400ms while the duplicates pile on and Shutdown
+  // lands mid-flight.
   for (int round = 0; round < 3; ++round) {
     ServeOptions options;
     options.num_threads = 3;
     options.enable_cache = false;
-    options.retry.max_attempts = 2;
-    options.retry.initial_backoff = std::chrono::milliseconds(400);
-    options.retry.max_backoff = std::chrono::milliseconds(400);
-    options.retry.jitter = 0;
     QueryServer server(ctx_.store, ctx_.db->schema(), options);
-    ScopedFault fault = ScopedFault::OnNth(faults::kServeAnswer, 1);
+    ScopedFault hold = ScopedFault::DelayOnNth(
+        faults::kServeAnswer, 1, std::chrono::milliseconds(400));
 
     std::vector<std::future<Result<ServedAnswer>>> futures;
     futures.push_back(server.Submit(ctx_.workload[0]));
@@ -122,7 +119,7 @@ TEST_F(ShutdownRaceTest, CoalescedWaitersResolveAcrossShutdown) {
       futures.push_back(server.Submit(ctx_.workload[0]));
     }
 
-    // Shutdown while the flight is (very likely) still in its backoff
+    // Shutdown while the flight is (very likely) still in its delay
     // window, with waiters attached. It must return — the drain finishes
     // the leader, the leader resolves the waiters.
     server.Shutdown();
