@@ -127,13 +127,13 @@ cmake --build build-asan -j "$(nproc)" --target \
   cell_eval_test cell_program_test synopsis_test grouped_test \
   store_roundtrip_test \
   query_server_test answer_cache_test shutdown_race_test reload_test \
-  resilience_test deadline_test private_sql_test \
+  resilience_test deadline_test private_sql_test template_cache_test \
   fuzz_sql_parser fuzz_rewriter fuzz_vrsy_loader fuzz_budget_wal \
   make_seed_corpus
 
 echo "== asan+ubsan: ctest (robustness suite) =="
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|StoreRoundTrip|CellProgram|QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|PrivateSql')
+  -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|StoreRoundTrip|CellProgram|QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|PrivateSql|Template|QueryShape')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== asan+ubsan: republish chaos smoke (single seed, lifecycle races) =="
@@ -195,11 +195,11 @@ cmake --build build-tsan -j "$(nproc)" --target \
   coalescing_test batch_submit_test stats_shard_test \
   overload_limiter_test priority_queue_test \
   adversarial_test admission_test corpus_replay_test \
-  grouped_serve_test
+  grouped_serve_test template_cache_test
 
 echo "== tsan: ctest (concurrent serving layer) =="
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-  -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority')
+  -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority|Template|QueryShape')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== tsan: chaos soak (reduced seeds) =="

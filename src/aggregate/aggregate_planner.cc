@@ -115,6 +115,14 @@ Result<Value> EvalImpl(const Expr& expr, const EvalContext& ctx) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return static_cast<const LiteralExpr&>(expr).value;
+    case ExprKind::kParam: {
+      const auto& p = static_cast<const ParamExpr&>(expr);
+      if (ctx.params != nullptr) {
+        auto it = ctx.params->find(p.name);
+        if (it != ctx.params->end()) return it->second;
+      }
+      return Status::NotFound("unbound parameter '$" + p.name + "'");
+    }
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
       if (ctx.columns != nullptr) {

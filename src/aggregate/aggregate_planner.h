@@ -64,16 +64,19 @@ double EvaluateDerived(Derivation derivation, double count, double sum,
 
 /// Context for evaluating select-item and HAVING expressions over a
 /// (possibly grouped) answer: noisy aggregate readings keyed by the
-/// canonical SQL of the aggregate call, plus the group-key column
-/// values (empty for scalar answers).
+/// canonical SQL of the aggregate call, the group-key column values
+/// (empty for scalar answers), and the query's $param bindings (so a
+/// template's `HAVING COUNT(*) >= $1` evaluates).
 struct EvalContext {
   const std::map<std::string, double>* aggregates = nullptr;
   // Keyed by both "t.c" and bare "c" for each group column.
   const std::map<std::string, Value>* columns = nullptr;
+  const std::map<std::string, Value>* params = nullptr;
 };
 
 /// Evaluates an expression over noisy aggregates and group keys:
-/// literals, group-column refs, aggregate calls (by canonical SQL),
+/// literals, bound $params, group-column refs, aggregate calls (by
+/// canonical SQL),
 /// +-*/ arithmetic (division by zero is ExecutionError), comparisons,
 /// AND/OR/NOT with SQL three-valued logic (booleans are Int 0/1, NULL
 /// propagates). Anything else is Unsupported.

@@ -11,14 +11,19 @@ std::string CanonicalRewrittenSql(const RewrittenQuery& rq) {
 std::string CanonicalCacheKey(const RewrittenQuery& rq,
                               const std::map<std::string, Value>& params) {
   std::string key = CanonicalRewrittenSql(rq);
+  AppendParamKey(params, &key);
+  return key;
+}
+
+void AppendParamKey(const std::map<std::string, Value>& params,
+                    std::string* key) {
   // std::map iterates sorted, so the rendering is order-independent.
   for (const auto& [name, value] : params) {
-    key += "|$";
-    key += name;
-    key += '=';
-    key += value.ToString();
+    *key += "|$";
+    *key += name;
+    *key += '=';
+    value.AppendTo(key);
   }
-  return key;
 }
 
 uint64_t Fnv1a64(std::string_view s) {

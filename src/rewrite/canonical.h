@@ -24,6 +24,11 @@ std::string CanonicalRewrittenSql(const RewrittenQuery& rq);
 std::string CanonicalCacheKey(const RewrittenQuery& rq,
                               const std::map<std::string, Value>& params);
 
+/// Appends the parameter part of CanonicalCacheKey: `|$name=value` for
+/// each binding, in name order.
+void AppendParamKey(const std::map<std::string, Value>& params,
+                    std::string* key);
+
 /// FNV-1a 64-bit hash, used for cache shard selection.
 uint64_t Fnv1a64(std::string_view s);
 

@@ -1491,6 +1491,11 @@ Result<QueryCombination> Rewriter::SplitDisjunction(SelectStmtPtr stmt) const {
 
 Result<RewrittenQuery> Rewriter::Rewrite(const SelectStmt& query) const {
   VR_FAULT_POINT(faults::kRewrite);
+  return RewriteTemplate(query);
+}
+
+Result<RewrittenQuery> Rewriter::RewriteTemplate(
+    const SelectStmt& query) const {
   SelectStmtPtr stmt = query.Clone();
   RewrittenQuery out;
 

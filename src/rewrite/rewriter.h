@@ -57,6 +57,12 @@ class Rewriter {
   /// Runs the full pipeline on `query`.
   Result<RewrittenQuery> Rewrite(const SelectStmt& query) const;
 
+  /// Rewrite without the `rewrite` fault point, for a query template
+  /// whose literal form the caller has just rewritten: a request then
+  /// counts one fault-point hit, and an injected fault never fails the
+  /// template alone.
+  Result<RewrittenQuery> RewriteTemplate(const SelectStmt& query) const;
+
   // Individual stages, exposed for unit tests and ablations. All stages
   // mutate `stmt` in place and are semantics-preserving.
 

@@ -1,137 +1,63 @@
 #ifndef VIEWREWRITE_SERVE_ANSWER_CACHE_H_
 #define VIEWREWRITE_SERVE_ANSWER_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "aggregate/grouped_result.h"
+#include "serve/sharded_lru.h"
 
 namespace viewrewrite {
 
-/// Per-stripe counter snapshot (see AnswerCache::StripeStatsSnapshot).
-struct CacheStripeStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  size_t entries = 0;
-  size_t bytes = 0;
+/// One served answer — a scalar value or a grouped row set — as the
+/// answer cache holds it.
+struct CachedAnswer {
+  double value = 0;
+  uint64_t epoch = 0;
+  /// The answer touched a view flagged outdated by the staleness policy
+  /// (its base relation changed in a generation whose rebuild failed);
+  /// carried through so cached answers stay flagged exactly like
+  /// recomputed ones.
+  bool outdated = false;
+  /// Grouped answers: the immutable row set (post-noise, suppression
+  /// already applied). Null for scalar answers. Shared, never copied —
+  /// every cache hit hands out the same rows the flight produced.
+  std::shared_ptr<const aggregate::GroupedData> rows;
+
+  /// Accounted bytes: grouped row sets are orders of magnitude larger
+  /// than scalar entries, so the entry-count budget alone would let them
+  /// grow memory unboundedly.
+  size_t ByteSize() const {
+    return sizeof(CachedAnswer) + (rows != nullptr ? rows->ByteSize() : 0);
+  }
 };
 
-/// Sharded LRU cache of served answers — scalar values and grouped row
-/// sets — keyed by canonical cache key (see rewrite/canonical.h).
-/// Published answers are deterministic — the noise was drawn once at
-/// publication — so a cached value is exactly the value a full
-/// re-evaluation would produce; caching changes latency, never results.
+/// Sharded LRU cache of served answers keyed by canonical cache key (see
+/// rewrite/canonical.h). Published answers are deterministic — the noise
+/// was drawn once at publication — so a cached value is exactly the value
+/// a full re-evaluation would produce; caching changes latency, never
+/// results.
 ///
 /// Every entry is tagged with the store **epoch** it was computed under
 /// (QueryServer bumps the epoch on each hot reload). An entry whose epoch
 /// matches the server's current epoch is fresh; an older entry is a
-/// *stale* answer from a previous bundle, kept around as a degradation
-/// fallback: when the live answer path is failing, serving yesterday's
-/// answer flagged stale beats serving an error.
-///
-/// Thread safety: fully thread safe. Keys hash to one of `shards`
-/// independent LRU stripes, each behind its own mutex, so concurrent
-/// workers rarely contend unless they touch the same stripe. Hit, miss
-/// and eviction counters live **per stripe** on the stripe's own cache
-/// line (there is no global counter pair for every lookup to bounce on);
-/// the totals exposed by hits()/misses()/evictions() and the per-stripe
-/// breakdown in StripeStatsSnapshot() are summed at read time.
-class AnswerCache {
+/// *stale* answer from a previous bundle, which only the overload
+/// brownout serves (flagged stale). Sharding, counters and budgets are
+/// ShardedLru's.
+class AnswerCache : public ShardedLru<CachedAnswer> {
  public:
-  struct Entry {
-    double value = 0;
-    uint64_t epoch = 0;
-    /// The answer touched a view flagged outdated by the staleness policy
-    /// (its base relation changed in a generation whose rebuild failed);
-    /// carried through so cached answers stay flagged exactly like
-    /// recomputed ones.
-    bool outdated = false;
-    /// Grouped answers: the immutable row set (post-noise, suppression
-    /// already applied). Null for scalar answers. Shared, never copied —
-    /// every cache hit hands out the same rows the flight produced.
-    std::shared_ptr<const aggregate::GroupedData> rows;
-  };
+  using Entry = CachedAnswer;
+  using ShardedLru::ShardedLru;
+  using ShardedLru::Put;
 
-  /// `capacity` is the total entry budget, split evenly across `shards`
-  /// (each shard holds at least one entry). `shards` is clamped to >= 1.
-  /// `max_bytes`, when nonzero, additionally caps each shard at
-  /// max_bytes / shards of accounted payload (key + entry + row bytes):
-  /// grouped row sets are orders of magnitude larger than scalar entries,
-  /// so the entry-count budget alone would let them grow memory
-  /// unboundedly.
-  AnswerCache(size_t capacity, size_t shards, size_t max_bytes = 0);
-
-  AnswerCache(const AnswerCache&) = delete;
-  AnswerCache& operator=(const AnswerCache&) = delete;
-
-  /// Returns the cached entry and refreshes its recency, or nullopt.
-  /// Counts one hit or one miss. Epoch interpretation is the caller's.
-  std::optional<Entry> Get(const std::string& key);
-
-  /// Inserts (or refreshes) `key` with the given epoch tag, evicting the
-  /// shard's least recently used entries while the shard is over its
-  /// entry or byte budget.
+  /// Put with the entry's fields spelled out.
   void Put(const std::string& key, double value, uint64_t epoch = 0,
            bool outdated = false,
-           std::shared_ptr<const aggregate::GroupedData> rows = nullptr);
-
-  /// Generation-eviction hook for the synopsis lifecycle: drops every
-  /// entry tagged with an epoch older than `min_epoch`, freeing the
-  /// stripes' slots for current-generation answers (evicted entries are
-  /// counted in evictions()). Returns how many entries were dropped.
-  uint64_t EvictOlderThan(uint64_t min_epoch);
-
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
-  size_t num_stripes() const { return shards_.size(); }
-  /// Current resident entries (sums shard sizes; approximate under
-  /// concurrent mutation).
-  size_t size() const;
-  /// Accounted payload bytes resident across all shards (keys + entries +
-  /// grouped rows); approximate under concurrent mutation.
-  size_t byte_size() const;
-  /// Per-stripe counters plus resident entries, for observability and the
-  /// stats-sharding tests. Approximate under concurrent mutation, exact
-  /// once writers are quiesced.
-  std::vector<CacheStripeStats> StripeStatsSnapshot() const;
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    // Most recently used at the front.
-    std::list<std::pair<std::string, Entry>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, Entry>>::iterator>
-        index;
-    // Accounted payload bytes resident in this shard; mutated under `mu`,
-    // read lock-free by byte_size(), hence atomic with relaxed ordering.
-    std::atomic<size_t> bytes{0};
-    // Stripe-local counters: mutated under `mu`, read lock-free by the
-    // snapshot methods, hence atomics with relaxed ordering.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-  };
-
-  static size_t EntryBytes(const std::string& key, const Entry& entry);
-  /// Evicts from the tail while the shard is over its entry or byte
-  /// budget. Caller holds shard.mu.
-  void EvictWhileOver(Shard& shard);
-
-  Shard& ShardFor(const std::string& key);
-
-  size_t per_shard_capacity_;
-  size_t per_shard_bytes_;  // 0 = no byte budget
-  std::vector<Shard> shards_;
+           std::shared_ptr<const aggregate::GroupedData> rows = nullptr) {
+    Put(key, CachedAnswer{value, epoch, outdated, std::move(rows)});
+  }
 };
 
 }  // namespace viewrewrite

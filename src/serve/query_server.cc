@@ -8,6 +8,7 @@
 #include "common/fault_injection.h"
 #include "rewrite/canonical.h"
 #include "sql/parser.h"
+#include "sql/token.h"
 
 namespace viewrewrite {
 
@@ -23,12 +24,7 @@ RewriteOptions WithLimits(RewriteOptions rewrite, const ResourceLimits& l) {
 std::string RawCacheKey(const std::string& sql, const ParamMap& params) {
   std::string key = "r|";
   key += sql;
-  for (const auto& [name, value] : params) {
-    key += "|$";
-    key += name;
-    key += '=';
-    key += value.ToString();
-  }
+  AppendParamKey(params, &key);
   return key;
 }
 
@@ -64,6 +60,13 @@ bool TouchesOutdatedView(const SynopsisStore& store,
     }
   }
   return false;
+}
+
+/// A grouped query (single GROUP BY term, no chain) answers row-wise.
+bool IsGroupedAnswer(const BoundRewrittenQuery& bound) {
+  return bound.chain.empty() && bound.terms.size() == 1 &&
+         bound.terms[0].query.cell_query != nullptr &&
+         !bound.terms[0].query.cell_query->group_by.empty();
 }
 
 }  // namespace
@@ -628,20 +631,45 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     return FlightOutcome{
         Status::DeadlineExceeded("request deadline expired before parse")};
   }
-  Result<SelectStmtPtr> stmt = ParseSelect(sql, options_.limits);
-  if (!stmt.ok()) return FlightOutcome{stmt.status()};
-  if (FlightDeadlineExpired(*flight)) {
-    return FlightOutcome{
-        Status::DeadlineExceeded("request deadline expired after parse")};
+  // Template lookup: a text whose shape compiled under this epoch skips
+  // parse, rewrite, canonical rendering and bind. On a miss (or a pinned
+  // shape, or a text without a shape) the literal stages run as they
+  // always have, and a miss then compiles the shape's template.
+  QueryShape shape;
+  const bool shaped = MakeQueryShape(sql, options_.limits, &shape);
+  std::shared_ptr<const QueryTemplate> tmpl;
+  if (shaped) {
+    std::optional<CachedTemplate> cached = templates_.Get(shape.key);
+    if (cached.has_value() && cached->epoch == snap.epoch) {
+      tmpl = std::move(cached->tmpl);
+    }
   }
-  Result<RewrittenQuery> rq = rewriter_.Rewrite(**stmt);
-  if (!rq.ok()) return FlightOutcome{rq.status()};
-  if (FlightDeadlineExpired(*flight)) {
-    return FlightOutcome{
-        Status::DeadlineExceeded("request deadline expired after rewrite")};
+  const bool compile = shaped && tmpl == nullptr;
+  std::optional<RewrittenQuery> literal;
+  std::string canonical_key = "c|";
+  if (tmpl == nullptr || tmpl->pinned) {
+    Result<SelectStmtPtr> stmt = ParseSelect(sql, options_.limits);
+    if (!stmt.ok()) return FlightOutcome{stmt.status()};
+    if (FlightDeadlineExpired(*flight)) {
+      return FlightOutcome{
+          Status::DeadlineExceeded("request deadline expired after parse")};
+    }
+    Result<RewrittenQuery> rq = rewriter_.Rewrite(**stmt);
+    if (!rq.ok()) return FlightOutcome{rq.status()};
+    if (FlightDeadlineExpired(*flight)) {
+      return FlightOutcome{
+          Status::DeadlineExceeded("request deadline expired after rewrite")};
+    }
+    literal = std::move(*rq);
+    canonical_key += CanonicalRewrittenSql(*literal);
+    tmpl = nullptr;
+  } else {
+    counters_.Add(ServeCounter::kTemplateHits);
+    AppendCanonicalSql(*tmpl, shape.params, &canonical_key);
   }
+  const size_t canonical_sql_end = canonical_key.size();
+  AppendParamKey(params, &canonical_key);
 
-  const std::string canonical_key = "c|" + CanonicalCacheKey(*rq, params);
   if (options_.enable_coalescing) {
     // Second coalescing stage: textual variants that rewrite to the same
     // canonical form. If a canonical-equal flight is already registered,
@@ -672,6 +700,23 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     }
   }
 
+  // A flight out of time answers without compiling; the shape's next
+  // request compiles it.
+  if (compile && !FlightDeadlineExpired(*flight)) {
+    // Compiled once this flight's canonical key is registered, so a
+    // canonical-equal variant arriving meanwhile still merges into it.
+    // The literal canonical SQL (the key without its parameter part) is
+    // what the template must reproduce.
+    tmpl = CompileTemplate(sql, shape,
+                           canonical_key.substr(2, canonical_sql_end - 2),
+                           *snap.store);
+    templates_.Put(shape.key, CachedTemplate{snap.epoch, tmpl});
+    if (tmpl->pinned) {
+      counters_.Add(ServeCounter::kTemplatePins);
+      tmpl = nullptr;
+    }
+  }
+
   if (cache_) {
     if (std::optional<AnswerCache::Entry> hit = cache_->Get(canonical_key);
         hit.has_value() && hit->epoch == snap.epoch) {
@@ -690,22 +735,39 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
   // here, once per computation, so cached and coalesced consumers all see
   // the identical filtered row set; the scalar `value` of a grouped
   // answer is its row count.
+  //
+  // A template answers with its lifted values bound to `$1 … $n` next to
+  // the request's own parameters (no SQL text can name a numeric
+  // parameter, so the two never collide).
   bool outdated = false;
   std::shared_ptr<const aggregate::GroupedData> rows;
   auto answer = [&]() -> Result<double> {
     VR_FAULT_POINT(faults::kServeAnswer);
-    VR_ASSIGN_OR_RETURN(BoundRewrittenQuery bound,
-                        snap.store->Bind(*rq, nullptr));
-    outdated = TouchesOutdatedView(*snap.store, bound,
-                                   options_.outdated_ttl_generations);
-    const bool grouped =
-        bound.chain.empty() && bound.terms.size() == 1 &&
-        bound.terms[0].query.cell_query != nullptr &&
-        !bound.terms[0].query.cell_query->group_by.empty();
-    if (!grouped) return snap.store->Answer(bound, params);
+    BoundRewrittenQuery literal_bound;
+    const BoundRewrittenQuery* bound = nullptr;
+    ParamMap template_params;
+    const ParamMap* answer_params = &params;
+    bool grouped = false;
+    if (tmpl != nullptr) {
+      bound = &tmpl->bound;
+      outdated = tmpl->outdated;
+      grouped = tmpl->grouped;
+      template_params = params;
+      for (size_t k = 0; k < shape.params.size(); ++k) {
+        template_params[std::to_string(k + 1)] = shape.params[k];
+      }
+      answer_params = &template_params;
+    } else {
+      VR_ASSIGN_OR_RETURN(literal_bound, snap.store->Bind(*literal, nullptr));
+      bound = &literal_bound;
+      outdated = TouchesOutdatedView(*snap.store, literal_bound,
+                                     options_.outdated_ttl_generations);
+      grouped = IsGroupedAnswer(literal_bound);
+    }
+    if (!grouped) return snap.store->Answer(*bound, *answer_params);
     VR_ASSIGN_OR_RETURN(
         aggregate::GroupedData data,
-        snap.store->AnswerGrouped(bound.terms[0].query, params));
+        snap.store->AnswerGrouped(bound->terms[0].query, *answer_params));
     const size_t suppressed = aggregate::ApplySuppression(
         aggregate::SuppressionPolicy{options_.min_group_count}, &data);
     counters_.Add(ServeCounter::kGroupedQueries);
@@ -727,6 +789,36 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
   FlightOutcome out{Status::OK(), *got, /*attempts=*/1, outdated};
   out.rows = std::move(rows);
   return out;
+}
+
+std::shared_ptr<const QueryTemplate> QueryServer::CompileTemplate(
+    const std::string& sql, const QueryShape& shape,
+    const std::string& literal_sql, const SynopsisStore& store) const {
+  auto pinned = [] {
+    auto p = std::make_shared<QueryTemplate>();
+    p->pinned = true;
+    return p;
+  };
+  Result<SelectStmtPtr> stmt = ParseSelectTemplate(sql, options_.limits);
+  if (!stmt.ok()) return pinned();
+  Result<RewrittenQuery> rq = rewriter_.RewriteTemplate(**stmt);
+  if (!rq.ok()) return pinned();
+  auto tmpl = std::make_shared<QueryTemplate>();
+  SplitCanonicalSql(CanonicalRewrittenSql(*rq), shape.params.size(),
+                    tmpl.get());
+  // The template must rewrite exactly as the literal query did: same
+  // terms, same order, same chain. Equal canonical SQL is the cache's own
+  // criterion for bit-identical answers.
+  std::string bound_sql;
+  AppendCanonicalSql(*tmpl, shape.params, &bound_sql);
+  if (bound_sql != literal_sql) return pinned();
+  Result<BoundRewrittenQuery> bound = store.Bind(*rq, nullptr);
+  if (!bound.ok()) return pinned();
+  tmpl->bound = std::move(*bound);
+  tmpl->grouped = IsGroupedAnswer(tmpl->bound);
+  tmpl->outdated = TouchesOutdatedView(store, tmpl->bound,
+                                       options_.outdated_ttl_generations);
+  return tmpl;
 }
 
 void QueryServer::FinishFlight(const std::shared_ptr<Flight>& flight,
@@ -842,6 +934,8 @@ Status QueryServer::Reload(std::shared_ptr<const SynopsisStore> store) {
     store_ = std::move(store);
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
+  // Templates are bound to the store they were compiled against.
+  templates_.EvictOlderThan(epoch());
   counters_.Add(ServeCounter::kReloads);
   return Status::OK();
 }
@@ -889,6 +983,8 @@ ServeStats QueryServer::stats() const {
   s.batch_deduped = counters_.Total(ServeCounter::kBatchDeduped);
   s.grouped_queries = counters_.Total(ServeCounter::kGroupedQueries);
   s.suppressed_groups = counters_.Total(ServeCounter::kSuppressedGroups);
+  s.template_hits = counters_.Total(ServeCounter::kTemplateHits);
+  s.template_pins = counters_.Total(ServeCounter::kTemplatePins);
   if (cache_) {
     s.cache_hits = cache_->hits();
     s.cache_misses = cache_->misses();

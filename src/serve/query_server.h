@@ -25,6 +25,8 @@
 #include "serve/overload.h"
 #include "serve/serve_stats.h"
 #include "serve/synopsis_store.h"
+#include "serve/template_cache.h"
+#include "sql/token.h"
 
 namespace viewrewrite {
 
@@ -147,10 +149,14 @@ struct ServedAnswer {
 /// privacy cost — answering is deterministic post-processing of the
 /// noisy cells.
 ///
-/// Each Submit parses, rewrites (Rules 1-20), binds the rewritten query
-/// against the stored views via the shared matcher, and answers from the
-/// noisy cells on a worker thread. A query whose structure no stored view
-/// covers fails with NotFound — never a crash, and never a budget spend.
+/// Each Submit is answered on a worker thread: parsed, rewritten (Rules
+/// 1-20), bound against the stored views via the shared matcher, and
+/// answered from the noisy cells. Parse, rewrite, canonical rendering
+/// and bind run once per query shape and store epoch: the shape's
+/// template (serve/template_cache.h) answers every later text that
+/// differs only in lifted literals. A query whose structure no stored
+/// view covers fails with NotFound — never a crash, and never a budget
+/// spend.
 ///
 /// ## Threading model
 ///
@@ -224,12 +230,28 @@ struct ServedAnswer {
 /// ## Cache
 ///
 /// Two-level lookup. The raw key (verbatim SQL + parameters) short-cuts
-/// exact resubmissions before any parsing. On a raw miss the query is
-/// parsed and rewritten, and the canonical key (canonical rewritten SQL +
-/// sorted parameters, rewrite/canonical.h) catches queries that differ
-/// textually but rewrite to the same canonical form. Successful answers
-/// populate both keys tagged with the serving epoch; failures are never
-/// cached.
+/// exact resubmissions before any parsing or scanning. On a raw miss the
+/// query's canonical key (canonical rewritten SQL + sorted parameters,
+/// rewrite/canonical.h) — from its template, or from the literal parse
+/// and rewrite — catches queries that differ textually but rewrite to
+/// the same canonical form. Successful answers populate both keys tagged
+/// with the serving epoch; failures are never cached.
+///
+/// ## Templates
+///
+/// Behind the raw probe, a sharded LRU of constant capacity maps a
+/// QueryShape key to the template compiled for it, tagged with its store
+/// epoch; only a current-epoch entry is used. A hit skips parse, rewrite,
+/// canonical rendering and bind, and answers the template's bound query
+/// with the lifted literals as `$1 … $n`; its canonical key is the
+/// template's canonical SQL with those values spliced in, the same text
+/// the literal path renders. A miss runs the literal stages, then
+/// compiles the template (without the parse and rewrite fault points,
+/// which the literal stages already hit, and not once the flight's
+/// deadline has passed); a shape whose template fails to compile, or
+/// whose compiling request's canonical SQL it does not reproduce, is
+/// pinned to the literal path for the epoch. Reload drops older epochs'
+/// templates.
 class QueryServer {
  public:
   QueryServer(std::shared_ptr<const SynopsisStore> store, const Schema& schema,
@@ -396,8 +418,9 @@ class QueryServer {
   /// Full request pipeline for one task (plus followers): cache
   /// short-circuit, flight join-or-lead, compute, resolve.
   void Process(Task task);
-  /// Leader computation: parse → rewrite → canonical coalesce/cache →
-  /// one answer attempt. Returns nullopt when this flight merged into a
+  /// Leader computation: template lookup (or parse → rewrite, compiling
+  /// the template on a miss) → canonical coalesce/cache → one answer
+  /// attempt. Returns nullopt when this flight merged into a
   /// canonical-equal one (its waiters moved over; nothing to resolve
   /// here).
   std::optional<FlightOutcome> ComputeAnswer(const std::shared_ptr<Flight>& f,
@@ -405,6 +428,14 @@ class QueryServer {
                                              const std::string& sql,
                                              const ParamMap& params,
                                              const std::string& raw_key);
+  /// Compiles the template of `sql` (shape `shape`) against `store` after
+  /// its literal rewrite rendered `literal_sql`: parse in template form,
+  /// rewrite (Rewriter::RewriteTemplate), check that binding the shape's
+  /// values reproduces `literal_sql`, bind. Any failure yields a pinned
+  /// template.
+  std::shared_ptr<const QueryTemplate> CompileTemplate(
+      const std::string& sql, const QueryShape& shape,
+      const std::string& literal_sql, const SynopsisStore& store) const;
   /// Deregisters the flight, extracts its waiters and resolves each one
   /// under its own deadline.
   void FinishFlight(const std::shared_ptr<Flight>& flight,
@@ -427,6 +458,7 @@ class QueryServer {
   ServeOptions options_;
   Rewriter rewriter_;
   std::unique_ptr<AnswerCache> cache_;  // null when disabled
+  TemplateCache templates_;
   CircuitBreaker store_breaker_;
 
   std::mutex mu_;

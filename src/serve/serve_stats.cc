@@ -48,6 +48,8 @@ std::ostream& operator<<(std::ostream& os, const ServeStats& s) {
      << " evictions=" << s.cache_evictions << " stripes=" << s.cache_stripes;
   os << " | grouped: queries=" << s.grouped_queries
      << " suppressed_groups=" << s.suppressed_groups;
+  os << " | templates: hits=" << s.template_hits
+     << " pins=" << s.template_pins;
   os << " | answer_seconds=" << s.answer_seconds;
   return os;
 }

@@ -108,6 +108,15 @@ struct ServeStats {
                                    // suppressed (summed across grouped
                                    // computations)
 
+  // ---- Query templates (serve/template_cache.h). ---------------------------
+  uint64_t template_hits = 0;  // answer-path computations that reused a
+                               // cached template: no parse, rewrite,
+                               // canonical rendering or bind
+  uint64_t template_pins = 0;  // query shapes pinned to the literal path for
+                               // their epoch because their template did not
+                               // compile or did not reproduce the literal
+                               // rewrite
+
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;  // LRU evictions across all stripes
@@ -153,6 +162,8 @@ enum class ServeCounter : size_t {
   kShedHopeless,
   kShedDisplaced,
   kBrownoutServed,
+  kTemplateHits,
+  kTemplatePins,
   kNumCounters,  // sentinel
 };
 

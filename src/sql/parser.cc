@@ -36,20 +36,11 @@ class DepthScope {
 };
 
 /// Strict int64 parse for an integer token: the whole text must convert
-/// and fit, else kInvalidArgument (std::strtoll would silently saturate
-/// on overflow and ignore trailing garbage).
+/// and fit, else kInvalidArgument.
 Result<int64_t> ParseInt64Token(const Token& tok) {
-  errno = 0;
-  char* end = nullptr;
-  const char* begin = tok.text.c_str();
-  long long v = std::strtoll(begin, &end, 10);
-  if (errno == ERANGE || end == begin || *end != '\0') {
-    return Status::InvalidArgument("integer literal '" + tok.text +
-                                   "' at offset " +
-                                   std::to_string(tok.offset) +
-                                   " does not fit in int64");
-  }
-  return static_cast<int64_t>(v);
+  VR_ASSIGN_OR_RETURN(Value v,
+                      LiteralValue(TokenType::kInteger, tok.text, tok.offset));
+  return v.AsInt();
 }
 
 /// Strict parse of `-<integer token>`. The magnitude converts as uint64
@@ -524,16 +515,19 @@ class Parser {
     VR_RETURN_NOT_OK(ChargeNodes());
     const Token& t = Peek();
     switch (t.type) {
-      case TokenType::kInteger: {
-        VR_ASSIGN_OR_RETURN(int64_t v, ParseInt64Token(Advance()));
-        return MakeLiteral(Value::Int(v));
+      case TokenType::kInteger:
+      case TokenType::kFloat:
+      case TokenType::kString: {
+        const Token& lit = Advance();
+        // A literal lifted by TokenizeTemplate parses as its slot's $param.
+        if (lit.param > 0) {
+          return ExprPtr(
+              std::make_unique<ParamExpr>(std::to_string(lit.param)));
+        }
+        VR_ASSIGN_OR_RETURN(Value v,
+                            LiteralValue(lit.type, lit.text, lit.offset));
+        return MakeLiteral(std::move(v));
       }
-      case TokenType::kFloat: {
-        double v = std::strtod(Advance().text.c_str(), nullptr);
-        return MakeLiteral(Value::Double(v));
-      }
-      case TokenType::kString:
-        return MakeLiteral(Value::String(Advance().text));
       case TokenType::kKeyword: {
         if (t.text == "NULL") {
           Advance();
@@ -620,12 +614,9 @@ class Parser {
   LimitTracker tracker_;
 };
 
-}  // namespace
-
-Result<SelectStmtPtr> ParseSelect(const std::string& sql,
+/// Parses a token stream and re-measures the finished tree.
+Result<SelectStmtPtr> ParseTokens(std::vector<Token> tokens,
                                   const ResourceLimits& limits) {
-  VR_FAULT_POINT(faults::kParse);
-  VR_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql, limits));
   Parser parser(std::move(tokens), limits);
   VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt, parser.ParseStatement());
   // Re-measure the finished tree iteratively: the in-parse charges are
@@ -644,6 +635,22 @@ Result<SelectStmtPtr> ParseSelect(const std::string& sql,
         std::to_string(limits.max_ast_nodes) + ")");
   }
   return stmt;
+}
+
+}  // namespace
+
+Result<SelectStmtPtr> ParseSelect(const std::string& sql,
+                                  const ResourceLimits& limits) {
+  VR_FAULT_POINT(faults::kParse);
+  VR_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql, limits));
+  return ParseTokens(std::move(tokens), limits);
+}
+
+Result<SelectStmtPtr> ParseSelectTemplate(const std::string& sql,
+                                          const ResourceLimits& limits) {
+  VR_ASSIGN_OR_RETURN(std::vector<Token> tokens,
+                      TokenizeTemplate(sql, limits));
+  return ParseTokens(std::move(tokens), limits);
 }
 
 Result<SelectStmtPtr> ParseSelect(const std::string& sql) {

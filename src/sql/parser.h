@@ -33,6 +33,15 @@ Result<SelectStmtPtr> ParseSelect(const std::string& sql);
 Result<SelectStmtPtr> ParseSelect(const std::string& sql,
                                   const ResourceLimits& limits);
 
+/// Parses `sql` as a query template: every literal the lifting rule
+/// lifts (sql/token.h) becomes the ParamExpr `$k` of its QueryShape slot,
+/// named by the decimal slot number — a name no SQL text can spell, since
+/// `$` must be followed by an identifier. Limits apply as in ParseSelect.
+/// It has no `parse` fault point: the serve path runs it only after
+/// ParseSelect parsed the same text, so a request counts one parse hit.
+Result<SelectStmtPtr> ParseSelectTemplate(const std::string& sql,
+                                          const ResourceLimits& limits);
+
 }  // namespace viewrewrite
 
 #endif  // VIEWREWRITE_SQL_PARSER_H_

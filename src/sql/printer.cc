@@ -1,238 +1,257 @@
 #include "sql/printer.h"
 
-#include <sstream>
-
-#include "common/strings.h"
+#include <cctype>
 
 namespace viewrewrite {
 
 namespace {
 
-void PrintExpr(const Expr& e, std::ostream& os);
-void PrintSelect(const SelectStmt& s, std::ostream& os);
+void PrintExpr(const Expr& e, std::string& out);
+void PrintSelect(const SelectStmt& s, std::string& out);
 
-void PrintExpr(const Expr& e, std::ostream& os) {
+void PrintExpr(const Expr& e, std::string& out) {
   switch (e.kind) {
     case ExprKind::kLiteral: {
       const auto& lit = static_cast<const LiteralExpr&>(e);
-      os << lit.value.ToString();
+      lit.value.AppendTo(&out);
       return;
     }
     case ExprKind::kColumnRef: {
       const auto& c = static_cast<const ColumnRefExpr&>(e);
-      os << c.FullName();
+      out += c.FullName();
       return;
     }
     case ExprKind::kStar:
-      os << "*";
+      out += "*";
       return;
     case ExprKind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
-      os << "(";
-      PrintExpr(*b.left, os);
-      os << " " << BinaryOpName(b.op) << " ";
-      PrintExpr(*b.right, os);
-      os << ")";
+      out += "(";
+      PrintExpr(*b.left, out);
+      out += " ";
+      out += BinaryOpName(b.op);
+      out += " ";
+      PrintExpr(*b.right, out);
+      out += ")";
       return;
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
-      os << (u.op == UnaryOp::kNot ? "(NOT " : "(-");
-      PrintExpr(*u.operand, os);
-      os << ")";
+      out += (u.op == UnaryOp::kNot ? "(NOT " : "(-");
+      PrintExpr(*u.operand, out);
+      out += ")";
       return;
     }
     case ExprKind::kFuncCall: {
       const auto& f = static_cast<const FuncCallExpr&>(e);
-      os << ToUpper(f.name) << "(";
-      if (f.distinct) os << "DISTINCT ";
-      for (size_t i = 0; i < f.args.size(); ++i) {
-        if (i > 0) os << ", ";
-        PrintExpr(*f.args[i], os);
+      for (char c : f.name) {
+        out += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
       }
-      os << ")";
+      out += "(";
+      if (f.distinct) out += "DISTINCT ";
+      for (size_t i = 0; i < f.args.size(); ++i) {
+        if (i > 0) out += ", ";
+        PrintExpr(*f.args[i], out);
+      }
+      out += ")";
       return;
     }
     case ExprKind::kScalarSubquery: {
       const auto& sq = static_cast<const ScalarSubqueryExpr&>(e);
-      os << "(";
-      PrintSelect(*sq.subquery, os);
-      os << ")";
+      out += "(";
+      PrintSelect(*sq.subquery, out);
+      out += ")";
       return;
     }
     case ExprKind::kIn: {
       const auto& in = static_cast<const InExpr&>(e);
-      PrintExpr(*in.lhs, os);
-      os << (in.negated ? " NOT IN (" : " IN (");
+      PrintExpr(*in.lhs, out);
+      out += (in.negated ? " NOT IN (" : " IN (");
       if (in.subquery) {
-        PrintSelect(*in.subquery, os);
+        PrintSelect(*in.subquery, out);
       } else {
         for (size_t i = 0; i < in.value_list.size(); ++i) {
-          if (i > 0) os << ", ";
-          PrintExpr(*in.value_list[i], os);
+          if (i > 0) out += ", ";
+          PrintExpr(*in.value_list[i], out);
         }
       }
-      os << ")";
+      out += ")";
       return;
     }
     case ExprKind::kExists: {
       const auto& ex = static_cast<const ExistsExpr&>(e);
-      os << (ex.negated ? "NOT EXISTS (" : "EXISTS (");
-      PrintSelect(*ex.subquery, os);
-      os << ")";
+      out += (ex.negated ? "NOT EXISTS (" : "EXISTS (");
+      PrintSelect(*ex.subquery, out);
+      out += ")";
       return;
     }
     case ExprKind::kQuantifiedCmp: {
       const auto& q = static_cast<const QuantifiedCmpExpr&>(e);
-      PrintExpr(*q.lhs, os);
-      os << " " << BinaryOpName(q.op) << " "
-         << (q.quantifier == Quantifier::kAny ? "ANY (" : "ALL (");
-      PrintSelect(*q.subquery, os);
-      os << ")";
+      PrintExpr(*q.lhs, out);
+      out += " ";
+      out += BinaryOpName(q.op);
+      out += " ";
+      out += (q.quantifier == Quantifier::kAny ? "ANY (" : "ALL (");
+      PrintSelect(*q.subquery, out);
+      out += ")";
       return;
     }
     case ExprKind::kParam: {
       const auto& p = static_cast<const ParamExpr&>(e);
-      os << "$" << p.name;
+      out += "$";
+      out += p.name;
       return;
     }
   }
 }
 
-void PrintTableRef(const TableRef& r, std::ostream& os) {
+void PrintTableRef(const TableRef& r, std::string& out) {
   switch (r.kind) {
     case TableRefKind::kBase: {
       const auto& b = static_cast<const BaseTableRef&>(r);
-      os << b.name;
-      if (!b.alias.empty()) os << " AS " << b.alias;
+      out += b.name;
+      if (!b.alias.empty()) {
+        out += " AS ";
+        out += b.alias;
+      }
       return;
     }
     case TableRefKind::kDerived: {
       const auto& d = static_cast<const DerivedTableRef&>(r);
-      os << "(";
-      PrintSelect(*d.subquery, os);
-      os << ") AS " << d.alias;
+      out += "(";
+      PrintSelect(*d.subquery, out);
+      out += ") AS ";
+      out += d.alias;
       return;
     }
     case TableRefKind::kJoin: {
       const auto& j = static_cast<const JoinTableRef&>(r);
-      PrintTableRef(*j.left, os);
+      PrintTableRef(*j.left, out);
       switch (j.join_type) {
         case JoinType::kInner:
-          os << " JOIN ";
+          out += " JOIN ";
           break;
         case JoinType::kLeft:
-          os << " LEFT JOIN ";
+          out += " LEFT JOIN ";
           break;
         case JoinType::kNatural:
-          os << " NATURAL JOIN ";
+          out += " NATURAL JOIN ";
           break;
       }
-      PrintTableRef(*j.right, os);
+      PrintTableRef(*j.right, out);
       if (j.condition) {
-        os << " ON ";
-        PrintExpr(*j.condition, os);
+        out += " ON ";
+        PrintExpr(*j.condition, out);
       }
       return;
     }
   }
 }
 
-void PrintSelect(const SelectStmt& s, std::ostream& os) {
+void PrintSelect(const SelectStmt& s, std::string& out) {
   if (!s.with.empty()) {
-    os << "WITH ";
+    out += "WITH ";
     for (size_t i = 0; i < s.with.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << s.with[i].name << " AS (";
-      PrintSelect(*s.with[i].query, os);
-      os << ")";
+      if (i > 0) out += ", ";
+      out += s.with[i].name;
+      out += " AS (";
+      PrintSelect(*s.with[i].query, out);
+      out += ")";
     }
-    os << " ";
+    out += " ";
   }
-  os << "SELECT ";
-  if (s.distinct) os << "DISTINCT ";
+  out += "SELECT ";
+  if (s.distinct) out += "DISTINCT ";
   for (size_t i = 0; i < s.items.size(); ++i) {
-    if (i > 0) os << ", ";
+    if (i > 0) out += ", ";
     if (s.items[i].is_star) {
-      os << "*";
+      out += "*";
     } else {
-      PrintExpr(*s.items[i].expr, os);
-      if (!s.items[i].alias.empty()) os << " AS " << s.items[i].alias;
+      PrintExpr(*s.items[i].expr, out);
+      if (!s.items[i].alias.empty()) {
+        out += " AS ";
+        out += s.items[i].alias;
+      }
     }
   }
   if (!s.from.empty()) {
-    os << " FROM ";
+    out += " FROM ";
     for (size_t i = 0; i < s.from.size(); ++i) {
-      if (i > 0) os << ", ";
-      PrintTableRef(*s.from[i], os);
+      if (i > 0) out += ", ";
+      PrintTableRef(*s.from[i], out);
     }
   }
   if (s.where) {
-    os << " WHERE ";
-    PrintExpr(*s.where, os);
+    out += " WHERE ";
+    PrintExpr(*s.where, out);
   }
   if (!s.group_by.empty()) {
-    os << " GROUP BY ";
+    out += " GROUP BY ";
     for (size_t i = 0; i < s.group_by.size(); ++i) {
-      if (i > 0) os << ", ";
-      PrintExpr(*s.group_by[i], os);
+      if (i > 0) out += ", ";
+      PrintExpr(*s.group_by[i], out);
     }
   }
   if (s.having) {
-    os << " HAVING ";
-    PrintExpr(*s.having, os);
+    out += " HAVING ";
+    PrintExpr(*s.having, out);
   }
   if (!s.order_by.empty()) {
-    os << " ORDER BY ";
+    out += " ORDER BY ";
     for (size_t i = 0; i < s.order_by.size(); ++i) {
-      if (i > 0) os << ", ";
-      PrintExpr(*s.order_by[i].expr, os);
-      if (s.order_by[i].descending) os << " DESC";
+      if (i > 0) out += ", ";
+      PrintExpr(*s.order_by[i].expr, out);
+      if (s.order_by[i].descending) out += " DESC";
     }
   }
   if (s.limit >= 0) {
-    os << " LIMIT " << s.limit;
+    out += " LIMIT ";
+    out += std::to_string(s.limit);
   }
 }
 
 }  // namespace
 
 std::string ToSql(const Expr& expr) {
-  std::ostringstream os;
-  PrintExpr(expr, os);
-  return os.str();
+  std::string out;
+  PrintExpr(expr, out);
+  return out;
 }
 
 std::string ToSql(const TableRef& ref) {
-  std::ostringstream os;
-  PrintTableRef(ref, os);
-  return os.str();
+  std::string out;
+  PrintTableRef(ref, out);
+  return out;
 }
 
 std::string ToSql(const SelectStmt& stmt) {
-  std::ostringstream os;
-  PrintSelect(stmt, os);
-  return os.str();
+  std::string out;
+  PrintSelect(stmt, out);
+  return out;
 }
 
 std::string ToSql(const RewrittenQuery& rq) {
-  std::ostringstream os;
+  std::string out;
   for (const auto& link : rq.chain) {
-    os << link.var << " := (";
-    PrintSelect(*link.query, os);
-    os << "); ";
+    out += link.var;
+    out += " := (";
+    PrintSelect(*link.query, out);
+    out += "); ";
   }
   for (size_t i = 0; i < rq.combination.terms.size(); ++i) {
     const auto& t = rq.combination.terms[i];
-    if (i > 0) os << (t.coeff >= 0 ? " + " : " - ");
-    else if (t.coeff < 0) os << "- ";
+    if (i > 0) out += (t.coeff >= 0 ? " + " : " - ");
+    else if (t.coeff < 0) out += "- ";
     double mag = t.coeff >= 0 ? t.coeff : -t.coeff;
-    if (mag != 1.0) os << mag << " * ";
-    os << "(";
-    PrintSelect(*t.query, os);
-    os << ")";
+    if (mag != 1.0) {
+      AppendDouble(&out, mag);
+      out += " * ";
+    }
+    out += "(";
+    PrintSelect(*t.query, out);
+    out += ")";
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace viewrewrite

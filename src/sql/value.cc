@@ -1,8 +1,8 @@
 #include "sql/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 namespace viewrewrite {
 
@@ -32,20 +32,48 @@ double Value::ToDouble() const {
   return AsDoubleExact();
 }
 
+void AppendDouble(std::string* out, double v) {
+  // `%g` (what a default ostream prints) keeps six significant digits,
+  // which collapses distinct constants such as 71.999999 and 72.000001.
+  // Keep that rendering whenever it reads back as `v`; otherwise widen
+  // the precision until it does (at most 17 digits for an IEEE double).
+  char buf[32];
+  for (int precision = 6; precision <= 17; ++precision) {
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, precision);
+    double back = 0;
+    const std::from_chars_result parsed = std::from_chars(buf, r.ptr, back);
+    if (!std::isfinite(v) || precision == 17 ||
+        (parsed.ec == std::errc() && back == v)) {
+      out->append(buf, r.ptr);
+      return;
+    }
+  }
+}
+
+void Value::AppendTo(std::string* out) const {
+  if (is_null()) {
+    out->append("NULL");
+  } else if (is_int()) {
+    char buf[24];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), AsInt());
+    out->append(buf, r.ptr);
+  } else if (is_double()) {
+    AppendDouble(out, AsDoubleExact());
+  } else {
+    out->push_back('\'');
+    for (char c : AsString()) {
+      if (c == '\'') out->push_back('\'');
+      out->push_back(c);
+    }
+    out->push_back('\'');
+  }
+}
+
 std::string Value::ToString() const {
-  if (is_null()) return "NULL";
-  if (is_int()) return std::to_string(AsInt());
-  if (is_double()) {
-    std::ostringstream os;
-    os << AsDoubleExact();
-    return os.str();
-  }
-  std::string out = "'";
-  for (char c : AsString()) {
-    if (c == '\'') out += "''";
-    else out += c;
-  }
-  out += "'";
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 

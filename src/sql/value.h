@@ -63,7 +63,13 @@ class Value {
   double ToDouble() const;
 
   /// Renders the value as a SQL literal ("NULL", 42, 1.5, 'abc').
+  /// Doubles print like `printf("%g")` when six significant digits
+  /// round-trip, and otherwise with the fewest digits that do, so two
+  /// distinct doubles never render alike.
   std::string ToString() const;
+
+  /// Appends ToString() to `out` without building a temporary.
+  void AppendTo(std::string* out) const;
 
   /// Total order for container use; NULL < numbers < strings.
   bool operator==(const Value& other) const;
@@ -85,6 +91,9 @@ class Value {
  private:
   std::variant<std::monostate, int64_t, double, std::string> repr_;
 };
+
+/// Appends `v` in Value::ToString's double format.
+void AppendDouble(std::string* out, double v);
 
 /// Hash functor for containers keyed on Value.
 struct ValueHash {

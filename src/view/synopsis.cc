@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 
 #include "aggregate/aggregate_planner.h"
@@ -353,6 +352,25 @@ void Synopsis::ComputeRepresentatives() {
       }
     }
   }
+  // Bucket midpoints strictly increase; categories are checked.
+  distinct_groups_.assign(dim_sizes_.size(), true);
+  for (size_t dim = 0; dim < dim_sizes_.size(); ++dim) {
+    const ColumnDomain& d = view_->attributes()[dim].domain;
+    if (d.kind != ColumnDomain::Kind::kCategorical) continue;
+    std::vector<Value> keys(reps_[dim].begin(),
+                            reps_[dim].begin() + d.CellCount());
+    for (const Value& k : keys) {
+      if (k.is_null() || (k.is_double() && std::isnan(k.AsDoubleExact()))) {
+        distinct_groups_[dim] = false;
+      }
+    }
+    if (!distinct_groups_[dim]) continue;
+    std::sort(keys.begin(), keys.end());
+    for (size_t i = 1; i < keys.size(); ++i) {
+      Result<Value::TriCompare> cmp = keys[i - 1].CompareSql(keys[i]);
+      if (!cmp.ok() || cmp->cmp == 0) distinct_groups_[dim] = false;
+    }
+  }
 }
 
 int64_t Synopsis::CellOf(size_t dim, const Value& v) const {
@@ -487,9 +505,9 @@ Result<std::optional<double>> Synopsis::TryHierarchicalCount(
   return std::optional<double>(sum);
 }
 
-Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
-                                          const Expr* where,
-                                          const ParamMap& params) const {
+template <typename Visit>
+Status Synopsis::WalkMatchingCells(const Expr* where, const ParamMap& params,
+                                   Visit&& visit) const {
   const size_t n = dim_sizes_.size();
   CellScope scope(*view_, params);
 
@@ -523,10 +541,10 @@ Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
     }
   }
 
-  // Constant predicates can zero the whole query (e.g. `$v >= 1`).
+  // Constant predicates can rule out every cell (e.g. `$v >= 1`).
   for (const Expr* c : constant) {
     VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, scope));
-    if (!pass) return 0.0;
+    if (!pass) return Status::OK();
   }
 
   // Allowed indices per dimension.
@@ -547,7 +565,7 @@ Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
     }
     none = none || allowed[d].empty();
   }
-  if (none) return 0.0;
+  if (none) return Status::OK();
 
   for (Tabled& t : tabled) {
     size_t entries = 1;
@@ -566,10 +584,13 @@ Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
   }
 
   // Odometer over the allowed cells, last dimension fastest: the cells
-  // are visited, and their values added, in flat-index order.
+  // are visited in flat-index order.
   std::vector<size_t> pos(n, 0);
-  for (size_t d = 0; d < n; ++d) scope.SetCell(d, &reps_[d][allowed[d][0]]);
-  double total = 0;
+  std::vector<size_t> cell(n);
+  for (size_t d = 0; d < n; ++d) {
+    cell[d] = allowed[d][0];
+    scope.SetCell(d, &reps_[d][cell[d]]);
+  }
   while (true) {
     bool pass = true;
     for (Tabled& t : tabled) {
@@ -589,21 +610,30 @@ Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
     }
     if (pass) {
       size_t flat = 0;
-      for (size_t d = 0; d < n; ++d) {
-        flat += allowed[d][pos[d]] * flat_strides[d];
-      }
-      total += array[flat];
+      for (size_t d = 0; d < n; ++d) flat += cell[d] * flat_strides[d];
+      visit(flat, cell);
     }
     // Step to the next allowed cell, carrying into slower dimensions.
     size_t d = n;
     for (; d > 0; --d) {
       const size_t k = d - 1;
       if (++pos[k] == allowed[k].size()) pos[k] = 0;
-      scope.SetCell(k, &reps_[k][allowed[k][pos[k]]]);
+      cell[k] = allowed[k][pos[k]];
+      scope.SetCell(k, &reps_[k][cell[k]]);
       if (pos[k] != 0) break;
     }
     if (d == 0) break;
   }
+  return Status::OK();
+}
+
+Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
+                                          const Expr* where,
+                                          const ParamMap& params) const {
+  double total = 0;
+  VR_RETURN_NOT_OK(WalkMatchingCells(
+      where, params,
+      [&](size_t flat, const std::vector<size_t>&) { total += array[flat]; }));
   return total;
 }
 
@@ -794,107 +824,231 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
     data.is_aggregate.push_back(item.expr->kind != ExprKind::kColumnRef);
   }
 
-  // The synthetic COUNT(*) backing every row's noisy_count.
+  // The synthetic COUNT(*) backing every row's noisy_count, then each
+  // distinct aggregate call of the select list and HAVING, in order.
   std::vector<ExprPtr> star_args;
   star_args.push_back(std::make_unique<StarExpr>());
   const FuncCallExpr count_star("count", std::move(star_args));
-
-  // Enumerate group cells (value cells only; the NULL/other padding cell
-  // is not a publishable group key) and answer each slice by pinning the
-  // group dimensions with synthetic equality predicates.
-  std::vector<int64_t> combo(group_dims.size(), 0);
-  std::function<Status(size_t)> recurse = [&](size_t d) -> Status {
-    if (d == group_dims.size()) {
-      ExprPtr where = query.where ? query.where->Clone() : nullptr;
-      // Group-key values, for select items and for HAVING column refs.
-      std::map<std::string, Value> group_values;
-      for (size_t gi = 0; gi < group_dims.size(); ++gi) {
-        const ViewAttribute& attr = view_->attributes()[group_dims[gi]];
-        const Value& rep =
-            reps_[group_dims[gi]][static_cast<size_t>(combo[gi])];
-        group_values[attr.column] = rep;
-        group_values[attr.table + "." + attr.column] = rep;
-        where = MakeAnd(std::move(where),
-                        MakeBinary(BinaryOp::kEq,
-                                   MakeColumnRef(attr.table, attr.column),
-                                   MakeLiteral(rep)));
-      }
-
-      // Answer each distinct aggregate call once per group (select list
-      // and HAVING share the memo), always including COUNT(*) for the
-      // suppression input.
-      std::map<std::string, double> agg_values;
-      auto answer_agg = [&](const FuncCallExpr& agg) -> Status {
-        const std::string key = ToSql(agg);
-        if (agg_values.count(key) != 0) return Status::OK();
-        VR_ASSIGN_OR_RETURN(
-            double v, AnswerAggCall(agg, where.get(), params, use_exact));
-        agg_values[key] = v;
-        return Status::OK();
-      };
-      VR_RETURN_NOT_OK(answer_agg(count_star));
-      std::vector<const FuncCallExpr*> aggs;
-      for (const SelectItem& item : query.items) {
-        CollectAggCallsForAnswer(item.expr.get(), &aggs);
-      }
-      CollectAggCallsForAnswer(query.having.get(), &aggs);
-      for (const FuncCallExpr* agg : aggs) VR_RETURN_NOT_OK(answer_agg(*agg));
-
-      aggregate::EvalContext ctx;
-      ctx.aggregates = &agg_values;
-      ctx.columns = &group_values;
-
-      // Post-noise HAVING: the aggregates above are already published
-      // noisy values, so filtering on them is pure post-processing.
-      if (query.having != nullptr) {
-        VR_ASSIGN_OR_RETURN(bool keep,
-                            aggregate::EvaluateHaving(*query.having, ctx));
-        if (!keep) return Status::OK();
-      }
-
-      aggregate::GroupedRow row;
-      row.noisy_count = agg_values[ToSql(count_star)];
-      for (const SelectItem& item : query.items) {
-        if (item.expr->kind == ExprKind::kColumnRef) {
-          // Group key output.
-          const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
-          int dim = view_->AttributeIndex(ref.table, ref.column);
-          bool emitted = false;
-          for (size_t gi = 0; gi < group_dims.size(); ++gi) {
-            if (static_cast<int>(group_dims[gi]) == dim) {
-              row.values.push_back(
-                  reps_[group_dims[gi]][static_cast<size_t>(combo[gi])]);
-              emitted = true;
-              break;
-            }
-          }
-          if (!emitted) {
-            return Status::InvalidArgument(
-                "non-grouped column '" + ref.FullName() +
-                "' in grouped select list");
-          }
-          continue;
-        }
-        VR_ASSIGN_OR_RETURN(Value v, aggregate::EvalExpr(*item.expr, ctx));
-        if (!v.is_numeric()) {
-          return Status::TypeMismatch(
-              "grouped aggregate item did not evaluate to a number");
-        }
-        row.values.push_back(Value::Double(v.ToDouble()));
-      }
-      data.rows.push_back(std::move(row));
-      return Status::OK();
+  std::vector<const FuncCallExpr*> calls{&count_star};
+  for (const SelectItem& item : query.items) {
+    CollectAggCallsForAnswer(item.expr.get(), &calls);
+  }
+  CollectAggCallsForAnswer(query.having.get(), &calls);
+  std::vector<std::string> agg_keys;
+  std::vector<const FuncCallExpr*> aggs;
+  for (const FuncCallExpr* call : calls) {
+    std::string key = ToSql(*call);
+    if (std::find(agg_keys.begin(), agg_keys.end(), key) != agg_keys.end()) {
+      continue;
     }
-    const int64_t cells =
-        view_->attributes()[group_dims[d]].domain.CellCount();
-    for (int64_t idx = 0; idx < cells; ++idx) {
-      combo[d] = idx;
-      VR_RETURN_NOT_OK(recurse(d + 1));
+    agg_keys.push_back(std::move(key));
+    aggs.push_back(call);
+  }
+
+  // Groups: the value cells of each group dimension (the NULL/other
+  // padding cell is not a publishable group key), row-major in GROUP BY
+  // order.
+  std::vector<size_t> group_cells;
+  size_t num_groups = 1;
+  for (size_t dim : group_dims) {
+    group_cells.push_back(
+        static_cast<size_t>(view_->attributes()[dim].domain.CellCount()));
+    num_groups *= group_cells.back();
+  }
+  std::vector<size_t> combo(group_dims.size(), 0);
+  auto set_combo = [&](size_t g) {
+    for (size_t k = group_dims.size(); k-- > 0;) {
+      combo[k] = g % group_cells[k];
+      g /= group_cells[k];
     }
+  };
+
+  // One output row per group from its aggregate readings (aggs order).
+  auto emit_row = [&](const double* readings) -> Status {
+    // Group-key values, for select items and for HAVING column refs.
+    std::map<std::string, Value> group_values;
+    for (size_t gi = 0; gi < group_dims.size(); ++gi) {
+      const ViewAttribute& attr = view_->attributes()[group_dims[gi]];
+      const Value& rep = reps_[group_dims[gi]][combo[gi]];
+      group_values[attr.column] = rep;
+      group_values[attr.table + "." + attr.column] = rep;
+    }
+    std::map<std::string, double> agg_values;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      agg_values[agg_keys[a]] = readings[a];
+    }
+
+    aggregate::EvalContext ctx;
+    ctx.aggregates = &agg_values;
+    ctx.columns = &group_values;
+    ctx.params = &params;
+
+    // Post-noise HAVING: the aggregates above are already published
+    // noisy values, so filtering on them is pure post-processing.
+    if (query.having != nullptr) {
+      VR_ASSIGN_OR_RETURN(bool keep,
+                          aggregate::EvaluateHaving(*query.having, ctx));
+      if (!keep) return Status::OK();
+    }
+
+    aggregate::GroupedRow row;
+    row.noisy_count = readings[0];
+    for (const SelectItem& item : query.items) {
+      if (item.expr->kind == ExprKind::kColumnRef) {
+        // Group key output.
+        const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
+        int dim = view_->AttributeIndex(ref.table, ref.column);
+        bool emitted = false;
+        for (size_t gi = 0; gi < group_dims.size(); ++gi) {
+          if (static_cast<int>(group_dims[gi]) == dim) {
+            row.values.push_back(reps_[group_dims[gi]][combo[gi]]);
+            emitted = true;
+            break;
+          }
+        }
+        if (!emitted) {
+          return Status::InvalidArgument(
+              "non-grouped column '" + ref.FullName() +
+              "' in grouped select list");
+        }
+        continue;
+      }
+      VR_ASSIGN_OR_RETURN(Value v, aggregate::EvalExpr(*item.expr, ctx));
+      if (!v.is_numeric()) {
+        return Status::TypeMismatch(
+            "grouped aggregate item did not evaluate to a number");
+      }
+      row.values.push_back(Value::Double(v.ToDouble()));
+    }
+    data.rows.push_back(std::move(row));
     return Status::OK();
   };
-  VR_RETURN_NOT_OK(recurse(0));
+
+  if (num_groups == 0) return data;
+  VR_ASSIGN_OR_RETURN(
+      std::optional<std::vector<double>> totals,
+      GroupedReadings(aggs, query.where.get(), params, group_dims, group_cells,
+                      use_exact));
+  if (totals.has_value()) {
+    for (size_t g = 0; g < num_groups; ++g) {
+      set_combo(g);
+      VR_RETURN_NOT_OK(emit_row(totals->data() + g * aggs.size()));
+    }
+    return data;
+  }
+
+  // Per-group path, for what one pass answers differently: answer each
+  // group's slice by pinning the group dimensions with synthetic
+  // equality predicates.
+  std::vector<double> readings(aggs.size());
+  for (size_t g = 0; g < num_groups; ++g) {
+    set_combo(g);
+    ExprPtr where = query.where ? query.where->Clone() : nullptr;
+    for (size_t gi = 0; gi < group_dims.size(); ++gi) {
+      const ViewAttribute& attr = view_->attributes()[group_dims[gi]];
+      const Value& rep = reps_[group_dims[gi]][combo[gi]];
+      where = MakeAnd(std::move(where),
+                      MakeBinary(BinaryOp::kEq,
+                                 MakeColumnRef(attr.table, attr.column),
+                                 MakeLiteral(rep)));
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      VR_ASSIGN_OR_RETURN(readings[a], AnswerAggCall(*aggs[a], where.get(),
+                                                     params, use_exact));
+    }
+    VR_RETURN_NOT_OK(emit_row(readings.data()));
+  }
   return data;
+}
+
+Result<std::optional<std::vector<double>>> Synopsis::GroupedReadings(
+    const std::vector<const FuncCallExpr*>& aggs, const Expr* where,
+    const ParamMap& params, const std::vector<size_t>& group_dims,
+    const std::vector<size_t>& group_cells, bool use_exact) const {
+  using Readings = std::optional<std::vector<double>>;
+  const Readings per_group;  // nullopt: the per-group path answers
+  for (size_t dim : group_dims) {
+    if (!distinct_groups_[dim]) return per_group;
+  }
+  // Plan every aggregate once; the measures they read are totalled per
+  // group in a single walk. MIN/MAX scan slices and a count the
+  // hierarchical tree answers differs from a cell total, so those (and
+  // any plan or measure error, which the per-group path reports) leave
+  // the answer to the per-group path.
+  const auto& arrays = use_exact ? exact_ : noisy_;
+  std::vector<const std::vector<double>*> measures;
+  auto measure = [&](const std::string& key) -> int {
+    auto it = arrays.find(key);
+    if (it == arrays.end()) return -1;
+    for (size_t m = 0; m < measures.size(); ++m) {
+      if (measures[m] == &it->second) return static_cast<int>(m);
+    }
+    measures.push_back(&it->second);
+    return static_cast<int>(measures.size() - 1);
+  };
+  struct Reading {
+    aggregate::Derivation derivation;
+    int count = -1;
+    int sum = -1;
+    int sumsq = -1;
+  };
+  std::vector<Reading> readings;
+  for (const FuncCallExpr* agg : aggs) {
+    Result<aggregate::AggregatePlan> plan = aggregate::PlanAggregate(*agg);
+    if (!plan.ok() || plan->is_extremum) return per_group;
+    Reading r{plan->derivation};
+    if (plan->derivation == aggregate::Derivation::kCount ||
+        plan->needs_count) {
+      if (plan->derivation == aggregate::Derivation::kCount && !use_exact &&
+          hier_count_.has_value()) {
+        return per_group;
+      }
+      r.count = measure("count");
+    }
+    if (!plan->sum_key.empty() && (r.sum = measure(plan->sum_key)) < 0) {
+      return per_group;
+    }
+    if (!plan->sumsq_key.empty() &&
+        (r.sumsq = measure(plan->sumsq_key)) < 0) {
+      return per_group;
+    }
+    readings.push_back(r);
+  }
+
+  // Every admitted cell adds into its group's totals. Cells are visited in
+  // flat-index order, so each group's totals add the same values in the
+  // same order as its own pinned walk: the sums are bit-identical.
+  size_t num_groups = 1;
+  std::vector<size_t> group_strides(group_dims.size());
+  for (size_t k = group_dims.size(); k-- > 0;) {
+    group_strides[k] = num_groups;
+    num_groups *= group_cells[k];
+  }
+  const size_t m = measures.size();
+  std::vector<double> totals(num_groups * m, 0.0);
+  VR_RETURN_NOT_OK(WalkMatchingCells(
+      where, params, [&](size_t flat, const std::vector<size_t>& cell) {
+        size_t g = 0;
+        for (size_t k = 0; k < group_dims.size(); ++k) {
+          const size_t idx = cell[group_dims[k]];
+          if (idx >= group_cells[k]) return;  // the padding cell
+          g += idx * group_strides[k];
+        }
+        double* t = totals.data() + g * m;
+        for (size_t j = 0; j < m; ++j) t[j] += (*measures[j])[flat];
+      }));
+
+  std::vector<double> out(num_groups * aggs.size());
+  for (size_t g = 0; g < num_groups; ++g) {
+    const double* t = totals.data() + g * m;
+    for (size_t a = 0; a < readings.size(); ++a) {
+      const Reading& r = readings[a];
+      out[g * aggs.size() + a] = aggregate::EvaluateDerived(
+          r.derivation, r.count < 0 ? 0 : t[r.count],
+          r.sum < 0 ? 0 : t[r.sum], r.sumsq < 0 ? 0 : t[r.sumsq]);
+    }
+  }
+  return Readings(std::move(out));
 }
 
 Result<double> Synopsis::AnswerScalarImpl(const SelectStmt& query,

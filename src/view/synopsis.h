@@ -133,12 +133,30 @@ class Synopsis {
   Result<double> AnswerAggCall(const FuncCallExpr& agg, const Expr* where,
                                const ParamMap& params, bool use_exact) const;
 
-  /// Totals `array` over the cells matching `where`, adding in flat-index
+  /// Compiles `where` into a cell program once and calls
+  /// `visit(flat_index, cell)` for every cell it admits, in flat-index
   /// order (the grid is row-major over dim_sizes_, last dimension
-  /// fastest).
+  /// fastest); `cell` holds the cell's index along each dimension.
+  template <typename Visit>
+  Status WalkMatchingCells(const Expr* where, const ParamMap& params,
+                           Visit&& visit) const;
+
+  /// Totals `array` over the cells matching `where`, adding in flat-index
+  /// order.
   Result<double> SumMatchingCells(const std::vector<double>& array,
                                   const Expr* where,
                                   const ParamMap& params) const;
+
+  /// Readings of `aggs` for every group of a grouped query (row-major
+  /// over `group_dims`, `group_cells` value cells each), from one walk
+  /// over the cells matching `where`: readings[g * aggs.size() + a].
+  /// nullopt when the per-group path must answer instead (MIN/MAX,
+  /// hierarchical counts, group cells that share a representative, plan
+  /// or measure errors).
+  Result<std::optional<std::vector<double>>> GroupedReadings(
+      const std::vector<const FuncCallExpr*>& aggs, const Expr* where,
+      const ParamMap& params, const std::vector<size_t>& group_dims,
+      const std::vector<size_t>& group_cells, bool use_exact) const;
 
   Result<double> EstimateExtremum(const ColumnRefExpr& column, bool is_max,
                                   const Expr* where, const ParamMap& params,
@@ -155,6 +173,10 @@ class Synopsis {
   /// Representative value per dimension and cell index: categorical value
   /// or bucket midpoint, NULL for the extra NULL/other cell.
   std::vector<std::vector<Value>> reps_;
+  /// Per dimension: its value cells have pairwise distinct, non-NULL
+  /// representatives, so a GROUP BY on it pins exactly one cell per group
+  /// (what lets AnswerGroupedData total every group in one pass).
+  std::vector<bool> distinct_groups_;
   /// Hierarchical release of the count histogram (1-D views under
   /// MatrixStrategy::kHierarchical only).
   std::optional<HierarchicalHistogram> hier_count_;

@@ -133,6 +133,9 @@ TEST_F(CoalescingTest, WaitersReceiveTheLeadersTypedError) {
   EXPECT_EQ(stats.flights, 1u);
   EXPECT_EQ(stats.failed, 1 + kDuplicates);
   EXPECT_EQ(stats.completed, 0u);
+  // A first-seen shape: a template hit would have skipped the rewrite
+  // the leader was parked at.
+  EXPECT_EQ(stats.template_hits, 0u);
 }
 
 TEST_F(CoalescingTest, CanonicalVariantsMergeIntoOneComputation) {

@@ -93,6 +93,8 @@ TEST_F(DeadlineTest, SlowParseExpiresAtTheNextStageBoundary) {
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
         << got.status();
+    // A first-seen shape: a template hit would have skipped the parse.
+    EXPECT_EQ(server.stats().template_hits, 0u);
   }
 
   // Fault disarmed: the same worker serves the same query correctly.
@@ -116,6 +118,8 @@ TEST_F(DeadlineTest, ServerDefaultTimeoutAppliesWhenRequestHasNone) {
   auto got = server.Submit(ctx_.workload[2]).get();  // no explicit timeout
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+  // A first-seen shape: a template hit would have skipped the rewrite.
+  EXPECT_EQ(server.stats().template_hits, 0u);
 }
 
 TEST_F(DeadlineTest, GenerousDeadlineDoesNotDisturbAnswers) {

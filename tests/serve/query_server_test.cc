@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "engine/viewrewrite_engine.h"
+#include "rewrite/rewriter.h"
 #include "serve/query_server.h"
+#include "sql/parser.h"
 #include "serve/synopsis_store.h"
 #include "testing/test_db.h"
 
@@ -143,6 +145,60 @@ TEST_F(QueryServerTest, CanonicalKeyCatchesTextualVariants) {
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->value, b->value);
   EXPECT_GE(server.stats().cache_hits, 1u);
+}
+
+/// The store's answer for `sql` through the literal stages, with no
+/// server (and no cache) in between.
+Result<double> DirectAnswer(const SynopsisStore& store, const Schema& schema,
+                            const std::string& sql,
+                            const ParamMap& params = {}) {
+  VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt, ParseSelect(sql));
+  Rewriter rewriter(schema);
+  VR_ASSIGN_OR_RETURN(RewrittenQuery rq, rewriter.Rewrite(*stmt));
+  VR_ASSIGN_OR_RETURN(BoundRewrittenQuery bound, store.Bind(rq, nullptr));
+  return store.Answer(bound, params);
+}
+
+TEST_F(QueryServerTest, CloseDoubleConstantsKeepDistinctCacheKeys) {
+  // Six significant digits print both constants as 72: the cache keys
+  // must still tell them apart, or the second answer is the first one's.
+  const std::string below =
+      "SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= 71.999999";
+  const std::string above =
+      "SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= 72.000001";
+  auto want_below = DirectAnswer(**store_, db_->schema(), below);
+  auto want_above = DirectAnswer(**store_, db_->schema(), above);
+  ASSERT_TRUE(want_below.ok()) << want_below.status();
+  ASSERT_TRUE(want_above.ok()) << want_above.status();
+  ASSERT_NE(*want_below, *want_above) << "fixture no longer separates them";
+
+  QueryServer server(*store_, db_->schema(), ServeOptions{});
+  auto got_below = server.Answer(below);
+  auto got_above = server.Answer(above);
+  ASSERT_TRUE(got_below.ok()) << got_below.status();
+  ASSERT_TRUE(got_above.ok()) << got_above.status();
+  EXPECT_EQ(got_below->value, *want_below);
+  EXPECT_EQ(got_above->value, *want_above);
+}
+
+TEST_F(QueryServerTest, CloseDoubleParamsKeepDistinctCacheKeys) {
+  const std::string sql =
+      "SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= $t";
+  const ParamMap below{{"t", Value::Double(71.999999)}};
+  const ParamMap above{{"t", Value::Double(72.000001)}};
+  auto want_below = DirectAnswer(**store_, db_->schema(), sql, below);
+  auto want_above = DirectAnswer(**store_, db_->schema(), sql, above);
+  ASSERT_TRUE(want_below.ok()) << want_below.status();
+  ASSERT_TRUE(want_above.ok()) << want_above.status();
+  ASSERT_NE(*want_below, *want_above) << "fixture no longer separates them";
+
+  QueryServer server(*store_, db_->schema(), ServeOptions{});
+  auto got_below = server.Answer(sql, below);
+  auto got_above = server.Answer(sql, above);
+  ASSERT_TRUE(got_below.ok()) << got_below.status();
+  ASSERT_TRUE(got_above.ok()) << got_above.status();
+  EXPECT_EQ(got_below->value, *want_below);
+  EXPECT_EQ(got_above->value, *want_above);
 }
 
 TEST_F(QueryServerTest, UnmatchableQueryGetsTypedStatusAndNoCrash) {

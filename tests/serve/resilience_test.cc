@@ -104,6 +104,9 @@ TEST_F(ResilienceTest, AnswerFaultFailsTheWholeFlightTypedAndIsNeverStale) {
     }
     // One answer attempt for the whole flight: nothing was retried.
     EXPECT_EQ(FaultInjection::Instance().HitCount(faults::kServeAnswer), 1u);
+    // Templates are per epoch: after the reload the leader compiled the
+    // shape afresh, through the rewrite it was parked at.
+    EXPECT_EQ(server.stats().template_hits, 0u);
   }
 
   ServeStats stats = server.stats();

@@ -17,6 +17,26 @@ void ExpectRoundTrip(const std::string& sql) {
   EXPECT_EQ(printed, ToSql(**second)) << "not a fixed point: " << sql;
 }
 
+TEST(PrinterTest, DoublesRoundTripExactly) {
+  // More significant digits than a default ostream keeps: the printed
+  // literal must read back as the same double.
+  auto first = ParseSelect("SELECT a FROM t WHERE a >= 0.1234567891");
+  ASSERT_TRUE(first.ok()) << first.status();
+  const std::string printed = ToSql(**first);
+  EXPECT_NE(printed.find("0.1234567891"), std::string::npos) << printed;
+  auto second = ParseSelect(printed);
+  ASSERT_TRUE(second.ok()) << printed << " -> " << second.status();
+  const auto& where = static_cast<const BinaryExpr&>(*(*second)->where);
+  const auto& lit = static_cast<const LiteralExpr&>(*where.right);
+  EXPECT_EQ(lit.value.AsDoubleExact(), 0.1234567891);
+  EXPECT_EQ(printed, ToSql(**second));
+  // Six digits still print as before when they are exact.
+  EXPECT_EQ(Value::Double(72.0).ToString(), "72");
+  EXPECT_EQ(Value::Double(1e-05).ToString(), "1e-05");
+  EXPECT_EQ(Value::Double(100000.0).ToString(), "100000");
+  EXPECT_EQ(Value::Double(1234567.0).ToString(), "1234567");
+}
+
 TEST(PrinterTest, CanonicalizesCase) {
   auto stmt = ParseSelect("select Count(*) from Orders o");
   ASSERT_TRUE(stmt.ok());

@@ -64,6 +64,13 @@ class Case {
       parts.noisy[key] = cells;
       parts.exact[key] = std::move(cells);
     }
+    // The VARIANCE measure draws from its own stream, so every draw above
+    // and below stays what it was before it existed.
+    Random square_rng(seed ^ 0x5eedull);
+    std::vector<double> squares(parts.total_cells);
+    for (double& c : squares) c = square_rng.UniformDouble(0.0, 900.0);
+    parts.noisy[SumSqKey()] = squares;
+    parts.exact[SumSqKey()] = std::move(squares);
     auto synopsis = Synopsis::FromParts(view_.get(), std::move(parts));
     EXPECT_TRUE(synopsis.ok()) << synopsis.status();
     synopsis_ = std::make_unique<Synopsis>(std::move(synopsis).value());
@@ -76,6 +83,7 @@ class Case {
   Random& rng() { return rng_; }
 
   static std::string SumKey() { return "sum:t.m"; }
+  static std::string SumSqKey() { return "sum:(t.m * t.m)"; }
 
   /// A WHERE of 0-5 conjuncts; at most one of them raises `fault_`.
   std::string Where() {
@@ -474,11 +482,14 @@ TEST(CellProgramTest, GroupedAnswersMatchBruteForceBitForBit) {
     if (second != group[0] && c.rng().UniformInt(0, 1) == 0) {
       group.push_back(second);
     }
+    // Half the cases filter groups post-noise on a bound parameter.
+    const bool having = c.rng().UniformInt(0, 1) == 0;
     std::string keys;
     for (size_t g : group) keys += (keys.empty() ? "" : ", ") + dims[g].name;
-    const std::string sql = "SELECT " + keys +
-                            ", COUNT(*), SUM(t.m), AVG(t.m) FROM t" + where +
-                            " GROUP BY " + keys;
+    const std::string sql =
+        "SELECT " + keys +
+        ", COUNT(*), SUM(t.m), AVG(t.m), VARIANCE(t.m) FROM t" + where +
+        " GROUP BY " + keys + (having ? " HAVING COUNT(*) >= $p" : "");
     auto stmt = ParseSelect(sql);
     ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status();
 
@@ -496,22 +507,35 @@ TEST(CellProgramTest, GroupedAnswersMatchBruteForceBitForBit) {
     size_t groups = 1;
     for (size_t d : group) groups *= dims[d].reps.size() - 1;
     const SynopsisParts parts = c.synopsis().ToParts();
-    std::vector<double> counts(groups, 0.0), sums(groups, 0.0);
+    std::vector<double> counts(groups, 0.0), sums(groups, 0.0),
+        squares(groups, 0.0);
     Status oracle = OracleSums(c, (*stmt)->where.get(),
                                parts.noisy.at("count"), group_of, &counts);
     if (oracle.ok()) {
       oracle = OracleSums(c, (*stmt)->where.get(),
                           parts.noisy.at(Case::SumKey()), group_of, &sums);
     }
+    if (oracle.ok()) {
+      oracle = OracleSums(c, (*stmt)->where.get(),
+                          parts.noisy.at(Case::SumSqKey()), group_of, &squares);
+    }
+    // The groups HAVING keeps, in group order.
+    std::vector<size_t> kept;
+    for (size_t g = 0; g < groups; ++g) {
+      if (!having || counts[g] >= c.params().at("p").ToDouble()) {
+        kept.push_back(g);
+      }
+    }
     auto got = c.synopsis().AnswerGroupedData(**stmt, c.params());
     const std::string context = "seed " + std::to_string(seed) + ": " + sql;
     Compare<aggregate::GroupedData>(
         got, oracle, context, &tally,
         [&](const aggregate::GroupedData& data) {
-          ASSERT_EQ(data.rows.size(), groups) << context;
-          for (size_t g = 0; g < groups; ++g) {
-            const aggregate::GroupedRow& row = data.rows[g];
-            ASSERT_EQ(row.values.size(), group.size() + 3) << context;
+          ASSERT_EQ(data.rows.size(), kept.size()) << context;
+          for (size_t r = 0; r < kept.size(); ++r) {
+            const size_t g = kept[r];
+            const aggregate::GroupedRow& row = data.rows[r];
+            ASSERT_EQ(row.values.size(), group.size() + 4) << context;
             size_t rest = g;
             for (size_t k = group.size(); k-- > 0;) {
               const size_t values = dims[group[k]].reps.size() - 1;
@@ -531,6 +555,12 @@ TEST(CellProgramTest, GroupedAnswersMatchBruteForceBitForBit) {
                                  sums[g]))
                 << context << " group " << g;
             EXPECT_TRUE(SameBits(row.values[group.size() + 2].ToDouble(), avg))
+                << context << " group " << g;
+            const double variance =
+                aggregate::EvaluateDerived(aggregate::Derivation::kVariance,
+                                           counts[g], sums[g], squares[g]);
+            EXPECT_TRUE(
+                SameBits(row.values[group.size() + 3].ToDouble(), variance))
                 << context << " group " << g;
           }
         });
