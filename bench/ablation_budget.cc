@@ -1,10 +1,6 @@
-// Design-choice ablations beyond the paper's evaluation:
-//
-//  (1) Budget allocation across views — the paper's uniform split vs the
-//      usage-weighted split it sketches as future work (views answering
-//      more queries get more budget).
-//  (2) Matrix-mechanism strategy for one-dimensional views — identity vs
-//      hierarchical (range queries decompose over O(log n) tree nodes).
+// Design-choice ablation beyond the paper's evaluation: budget allocation
+// across views — the paper's uniform split vs the usage-weighted split it
+// sketches as future work (views answering more queries get more budget).
 
 #include <cstdio>
 
@@ -17,13 +13,12 @@ namespace {
 constexpr uint64_t kSeed = 90210;
 
 RunResult RunWith(const Database& db, const std::vector<std::string>& sql,
-                  BudgetAllocation allocation, MatrixStrategy strategy) {
+                  BudgetAllocation allocation) {
   EngineOptions opts;
   opts.strict = true;  // benchmarks keep the fail-fast contract
   opts.epsilon = 8.0;
   opts.seed = kSeed;
   opts.budget_allocation = allocation;
-  opts.synopsis.strategy = strategy;
   ViewRewriteEngine engine(db, PrivacyPolicy{"orders"}, opts);
   return RunWorkload(engine, sql);
 }
@@ -40,63 +35,19 @@ int main() {
   auto db = GenerateTpch(config);
 
   std::printf(
-      "=== Ablation (1): budget allocation across views (eps=8, "
+      "=== Ablation: budget allocation across views (eps=8, "
       "policy=orders) ===\n");
   std::printf("%-6s %-8s | %-14s %-14s\n", "W", "queries", "uniform_med",
               "by_usage_med");
   for (int w : {1, 12, 17, 27}) {
     auto sql = WorkloadSql(w, 1, kSeed, FullMode() ? 0 : 500);
-    RunResult uniform = RunWith(*db, sql, BudgetAllocation::kUniform,
-                                MatrixStrategy::kIdentity);
-    RunResult usage = RunWith(*db, sql, BudgetAllocation::kByUsage,
-                              MatrixStrategy::kIdentity);
+    RunResult uniform = RunWith(*db, sql, BudgetAllocation::kUniform);
+    RunResult usage = RunWith(*db, sql, BudgetAllocation::kByUsage);
     std::printf("W%-5d %-8zu | %-14.6f %-14.6f\n", w, sql.size(),
                 uniform.median_error, usage.median_error);
   }
   std::printf(
       "Usage weighting helps when view popularity is skewed; with the "
       "paper's\nbalanced workloads the two are close, as expected.\n");
-
-  std::printf(
-      "\n=== Ablation (2): identity vs hierarchical strategy on 1-D range "
-      "workloads ===\n");
-  // Range-heavy single-relation count queries over one ordered attribute.
-  // With this repo's deliberately coarse 16-bucket domains the identity
-  // strategy should win (the hierarchical advantage needs range lengths
-  // beyond ~log^3 of the domain size — see dp/matrix_test, which
-  // demonstrates the crossover at 8192 cells); this ablation documents
-  // why identity is the default.
-  std::vector<std::string> sql;
-  Random rng(kSeed);
-  for (int i = 0; i < 300; ++i) {
-    int64_t lo = rng.UniformInt(0, 10) * 4096;
-    int64_t hi = lo + (1 + rng.UniformInt(0, 4)) * 4096;
-    sql.push_back("SELECT COUNT(*) FROM orders o WHERE o.o_totalprice >= " +
-                  std::to_string(lo) + " AND o.o_totalprice < " +
-                  std::to_string(hi));
-  }
-  std::printf("%-12s %-14s %-14s\n", "strategy", "median_relerr",
-              "mean_relerr");
-  for (MatrixStrategy strategy :
-       {MatrixStrategy::kIdentity, MatrixStrategy::kHierarchical}) {
-    double med_sum = 0;
-    double mean_sum = 0;
-    const int kTrials = 5;
-    for (int t = 0; t < kTrials; ++t) {
-      EngineOptions opts;
-      opts.strict = true;  // benchmarks keep the fail-fast contract
-      opts.epsilon = 2.0;
-      opts.seed = kSeed + static_cast<uint64_t>(t);
-      opts.synopsis.strategy = strategy;
-      ViewRewriteEngine engine(*db, PrivacyPolicy{"orders"}, opts);
-      RunResult r = RunWorkload(engine, sql);
-      med_sum += r.median_error;
-      mean_sum += r.mean_error;
-    }
-    std::printf("%-12s %-14.6f %-14.6f\n",
-                strategy == MatrixStrategy::kIdentity ? "identity"
-                                                      : "hierarchical",
-                med_sum / kTrials, mean_sum / kTrials);
-  }
   return 0;
 }

@@ -16,7 +16,7 @@
 #include "aggregate/grouped_result.h"
 #include "aggregate/suppression.h"
 #include "datagen/tpch.h"
-#include "dp/matrix_mechanism.h"
+#include "dp/mechanism.h"
 #include "dp/truncation.h"
 #include "engine/viewrewrite_engine.h"
 #include "exec/executor.h"
@@ -150,16 +150,6 @@ void BM_IdentityPublish(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IdentityPublish)->Arg(1024)->Arg(16384);
-
-void BM_HierarchicalPublish(benchmark::State& state) {
-  std::vector<double> cells(static_cast<size_t>(state.range(0)), 5.0);
-  Random rng(5);
-  for (auto _ : state) {
-    auto h = HierarchicalHistogram::Publish(cells, 4.0, 1.0, &rng);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_HierarchicalPublish)->Arg(1024)->Arg(16384);
 
 void BM_WorkloadGeneration(benchmark::State& state) {
   WorkloadGenerator gen(1, 77);

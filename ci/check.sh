@@ -15,13 +15,17 @@ CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-600}"
 CHAOS_SEEDS="${CHAOS_SEEDS:-32}"
 # Per-fuzzer time box for the mutation smoke (seconds).
 FUZZ_SECONDS="${FUZZ_SECONDS:-30}"
+# Each ctest pass writes every test's outcome to <build dir>/ctest-<pass>.xml
+# (JUnit), so a later rerun (which rewrites Testing/Temporary/
+# LastTestsFailed.log) cannot erase the name of a test that flaked here.
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 
 echo "== tier-1: ctest =="
-(cd build && ctest --output-on-failure -j "$(nproc)")
+(cd build && ctest --output-on-failure -j "$(nproc)" \
+  --output-junit ctest-tier1.xml)
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== chaos soak: ${CHAOS_SEEDS} fixed seeds (default build) =="
@@ -115,8 +119,8 @@ cmake -B build-asan -S . -DVIEWREWRITE_SANITIZE=ON -DVIEWREWRITE_FUZZ=ON \
   >/dev/null
 cmake --build build-asan -j "$(nproc)" --target \
   fault_injection_test quarantine_test publish_recovery_test \
-  budget_test budget_wal_test mechanism_test retry_test \
-  circuit_breaker_test \
+  budget_test budget_wal_test mechanism_test epsilon_reconciliation_test \
+  retry_test circuit_breaker_test \
   durability_test republisher_test chaos_test chaos_soak \
   kill9_test kill9_soak overload_test overload_soak \
   coalescing_test batch_submit_test stats_shard_test \
@@ -133,7 +137,7 @@ cmake --build build-asan -j "$(nproc)" --target \
 
 echo "== asan+ubsan: ctest (robustness suite) =="
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|StoreRoundTrip|CellProgram|QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|PrivateSql|Template|QueryShape')
+  --output-junit ctest-asan.xml -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|IdentityStrategy|EpsilonReconciliation|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|StoreRoundTrip|CellProgram|QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|PrivateSql|Template|QueryShape')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== asan+ubsan: republish chaos smoke (single seed, lifecycle races) =="
@@ -199,7 +203,7 @@ cmake --build build-tsan -j "$(nproc)" --target \
 
 echo "== tsan: ctest (concurrent serving layer) =="
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-  -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority|Template|QueryShape')
+  --output-junit ctest-tsan.xml -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority|Template|QueryShape')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== tsan: chaos soak (reduced seeds) =="

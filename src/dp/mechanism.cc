@@ -28,4 +28,23 @@ Result<double> LaplaceMechanism::Release(double true_value, double sensitivity,
   return released;
 }
 
+Result<std::vector<double>> PublishIdentity(const std::vector<double>& cells,
+                                            double l1_sensitivity,
+                                            double epsilon, Random* rng) {
+  VR_FAULT_POINT(faults::kDpMechanism);
+  VR_ASSIGN_OR_RETURN(double scale,
+                      LaplaceMechanism::Scale(l1_sensitivity, epsilon));
+  std::vector<double> out;
+  out.reserve(cells.size());
+  for (double c : cells) {
+    const double v = scale == 0 ? c : c + rng->Laplace(scale);
+    if (!std::isfinite(v)) {
+      return Status::PrivacyError(
+          "identity mechanism produced a non-finite noisy cell");
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
 }  // namespace viewrewrite

@@ -18,7 +18,7 @@ namespace {
 // ---- Binary encoding helpers (little-endian, doubles as bit patterns). ----
 
 constexpr char kMagic[4] = {'V', 'R', 'S', 'Y'};
-constexpr uint16_t kFormatVersion = 1;
+constexpr uint16_t kFormatVersion = 2;
 
 constexpr uint32_t kSectionHeader = 'H';
 constexpr uint32_t kSectionGeneration = 'G';
@@ -394,17 +394,6 @@ void PutViewSection(std::string* out, const ViewDef& view,
   PutBuildStats(out, parts.stats);
   PutMeasureArrays(out, parts.noisy);
   PutMeasureArrays(out, parts.exact);
-
-  PutU8(out, parts.hier_count.has_value() ? 1 : 0);
-  if (parts.hier_count.has_value()) {
-    const HierarchicalHistogram& h = *parts.hier_count;
-    PutI64(out, h.num_cells());
-    PutI64(out, h.height());
-    PutU32(out, static_cast<uint32_t>(h.tree().size()));
-    for (const std::vector<double>& level : h.tree()) {
-      PutDoubles(out, level);
-    }
-  }
 }
 
 struct LoadedView {
@@ -457,26 +446,6 @@ Result<LoadedView> ReadViewSection(Reader* r) {
   VR_ASSIGN_OR_RETURN(out.parts.stats, ReadBuildStats(r));
   VR_ASSIGN_OR_RETURN(out.parts.noisy, ReadMeasureArrays(r));
   VR_ASSIGN_OR_RETURN(out.parts.exact, ReadMeasureArrays(r));
-
-  VR_ASSIGN_OR_RETURN(uint8_t has_hier, r->U8());
-  if (has_hier) {
-    VR_ASSIGN_OR_RETURN(int64_t n, r->I64());
-    VR_ASSIGN_OR_RETURN(int64_t height, r->I64());
-    VR_ASSIGN_OR_RETURN(uint32_t n_levels, r->U32());
-    // Each level costs at least its 8-byte length prefix.
-    VR_RETURN_NOT_OK(r->NeedElements(n_levels, 8));
-    VR_RETURN_NOT_OK(
-        r->Charge(n_levels * sizeof(std::vector<double>), "bundle hier tree"));
-    std::vector<std::vector<double>> tree;
-    tree.reserve(n_levels);
-    for (uint32_t i = 0; i < n_levels; ++i) {
-      VR_ASSIGN_OR_RETURN(std::vector<double> level, r->Doubles());
-      tree.push_back(std::move(level));
-    }
-    VR_ASSIGN_OR_RETURN(out.parts.hier_count,
-                        HierarchicalHistogram::FromParts(n, height,
-                                                         std::move(tree)));
-  }
   return out;
 }
 

@@ -7,6 +7,7 @@
 
 #include "aggregate/aggregate_planner.h"
 #include "common/limits.h"
+#include "dp/mechanism.h"
 #include "dp/truncation.h"
 #include "rewrite/analysis.h"
 #include "sql/printer.h"
@@ -304,15 +305,6 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
   const double eps_each = eps_hist / static_cast<double>(1 + n_sums);
 
   const double count_sensitivity = insensitive ? 0.0 : static_cast<double>(tau);
-  if (options.strategy == MatrixStrategy::kHierarchical && n_attrs == 1 &&
-      view.attributes()[0].domain.kind == ColumnDomain::Kind::kIntBuckets) {
-    // One-dimensional ordered domain: a binary-tree release answers the
-    // workload's range predicates with O(log n) noisy nodes.
-    VR_ASSIGN_OR_RETURN(HierarchicalHistogram h,
-                        HierarchicalHistogram::Publish(
-                            count_cells, count_sensitivity, eps_each, rng));
-    s.hier_count_ = std::move(h);
-  }
   VR_ASSIGN_OR_RETURN(
       std::vector<double> noisy_count,
       PublishIdentity(count_cells, count_sensitivity, eps_each, rng));
@@ -396,7 +388,6 @@ SynopsisParts Synopsis::ToParts() const {
   parts.exact = exact_;
   parts.count_noise_scale = count_noise_scale_;
   parts.stats = stats_;
-  parts.hier_count = hier_count_;
   return parts;
 }
 
@@ -452,57 +443,8 @@ Result<Synopsis> Synopsis::FromParts(const ViewDef* view,
   s.exact_ = std::move(parts.exact);
   s.count_noise_scale_ = parts.count_noise_scale;
   s.stats_ = parts.stats;
-  s.hier_count_ = std::move(parts.hier_count);
   s.ComputeRepresentatives();
   return s;
-}
-
-Result<std::optional<double>> Synopsis::TryHierarchicalCount(
-    const Expr* where, const ParamMap& params) const {
-  if (!hier_count_.has_value() || view_->attributes().size() != 1) {
-    return std::optional<double>();
-  }
-  // Evaluate every conjunct per cell of the single dimension; the tree
-  // helps only when the admitted cells form one contiguous value range
-  // that excludes the NULL padding cell.
-  CellScope scope(*view_, params);
-  std::vector<const Expr*> conjuncts = CollectConjuncts(where);
-  std::vector<char> resolved;
-  std::vector<size_t> dims;
-  for (const Expr* c : conjuncts) resolved.push_back(scope.Resolve(*c, &dims));
-  const int64_t cells = view_->attributes()[0].domain.CellCount();
-  int64_t lo = -1, hi = -1;
-  bool contiguous = true;
-  for (int64_t idx = 0; idx <= cells; ++idx) {
-    scope.SetCell(0, &reps_[0][static_cast<size_t>(idx)]);
-    bool pass = true;
-    for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (!resolved[i]) {
-        return std::optional<double>();  // non-view attribute: bail out
-      }
-      VR_ASSIGN_OR_RETURN(bool p, EvalCellPredicate(*conjuncts[i], scope));
-      if (!p) {
-        pass = false;
-        break;
-      }
-    }
-    if (idx == cells) {
-      if (pass) return std::optional<double>();  // NULL cell needed
-      break;
-    }
-    if (pass) {
-      if (lo < 0) {
-        lo = hi = idx;
-      } else if (idx == hi + 1) {
-        hi = idx;
-      } else {
-        contiguous = false;
-      }
-    }
-  }
-  if (!contiguous || lo < 0) return std::optional<double>();
-  VR_ASSIGN_OR_RETURN(double sum, hier_count_->RangeSum(lo, hi));
-  return std::optional<double>(sum);
 }
 
 template <typename Visit>
@@ -971,10 +913,9 @@ Result<std::optional<std::vector<double>>> Synopsis::GroupedReadings(
     if (!distinct_groups_[dim]) return per_group;
   }
   // Plan every aggregate once; the measures they read are totalled per
-  // group in a single walk. MIN/MAX scan slices and a count the
-  // hierarchical tree answers differs from a cell total, so those (and
-  // any plan or measure error, which the per-group path reports) leave
-  // the answer to the per-group path.
+  // group in a single walk. MIN/MAX scan slices, so those (and any plan or
+  // measure error, which the per-group path reports) leave the answer to
+  // the per-group path.
   const auto& arrays = use_exact ? exact_ : noisy_;
   std::vector<const std::vector<double>*> measures;
   auto measure = [&](const std::string& key) -> int {
@@ -999,10 +940,6 @@ Result<std::optional<std::vector<double>>> Synopsis::GroupedReadings(
     Reading r{plan->derivation};
     if (plan->derivation == aggregate::Derivation::kCount ||
         plan->needs_count) {
-      if (plan->derivation == aggregate::Derivation::kCount && !use_exact &&
-          hier_count_.has_value()) {
-        return per_group;
-      }
       r.count = measure("count");
     }
     if (!plan->sum_key.empty() && (r.sum = measure(plan->sum_key)) < 0) {
@@ -1089,19 +1026,8 @@ Result<double> Synopsis::AnswerAggCall(const FuncCallExpr& agg,
   double sum = 0;
   double sumsq = 0;
   if (plan.derivation == aggregate::Derivation::kCount || plan.needs_count) {
-    bool answered = false;
-    if (plan.derivation == aggregate::Derivation::kCount && !use_exact) {
-      VR_ASSIGN_OR_RETURN(std::optional<double> hier,
-                          TryHierarchicalCount(where, params));
-      if (hier.has_value()) {
-        count = *hier;
-        answered = true;
-      }
-    }
-    if (!answered) {
-      VR_ASSIGN_OR_RETURN(count,
-                          SumMatchingCells(arrays.at("count"), where, params));
-    }
+    VR_ASSIGN_OR_RETURN(count,
+                        SumMatchingCells(arrays.at("count"), where, params));
   }
   if (!plan.sum_key.empty()) {
     auto it = arrays.find(plan.sum_key);

@@ -10,7 +10,6 @@
 #include "catalog/schema.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "dp/matrix_mechanism.h"
 #include "exec/executor.h"
 #include "storage/table.h"
 #include "view/view_def.h"
@@ -22,7 +21,6 @@ struct SynopsisOptions {
   /// (noisy pivot Q̂ and SVT); the rest publishes the histograms.
   double trunc_pivot_frac = 0.05;
   double trunc_svt_frac = 0.05;
-  MatrixStrategy strategy = MatrixStrategy::kIdentity;
   /// Hard cap on histogram cells per view.
   size_t max_cells = size_t{1} << 21;
   DomainOptions domain;
@@ -150,9 +148,8 @@ class Synopsis {
   /// Readings of `aggs` for every group of a grouped query (row-major
   /// over `group_dims`, `group_cells` value cells each), from one walk
   /// over the cells matching `where`: readings[g * aggs.size() + a].
-  /// nullopt when the per-group path must answer instead (MIN/MAX,
-  /// hierarchical counts, group cells that share a representative, plan
-  /// or measure errors).
+  /// nullopt when the per-group path must answer instead (MIN/MAX, group
+  /// cells that share a representative, plan or measure errors).
   Result<std::optional<std::vector<double>>> GroupedReadings(
       const std::vector<const FuncCallExpr*>& aggs, const Expr* where,
       const ParamMap& params, const std::vector<size_t>& group_dims,
@@ -161,12 +158,6 @@ class Synopsis {
   Result<double> EstimateExtremum(const ColumnRefExpr& column, bool is_max,
                                   const Expr* where, const ParamMap& params,
                                   bool use_exact) const;
-
-  /// Attempts to answer a 1-D COUNT via the hierarchical tree: succeeds
-  /// when the per-dimension mask is one contiguous value range (no NULL
-  /// cell), the case range decomposition accelerates.
-  Result<std::optional<double>> TryHierarchicalCount(
-      const Expr* where, const ParamMap& params) const;
 
   const ViewDef* view_ = nullptr;  // owned by the ViewManager
   std::vector<int64_t> dim_sizes_;  // CellCount()+1 per attribute
@@ -177,9 +168,6 @@ class Synopsis {
   /// representatives, so a GROUP BY on it pins exactly one cell per group
   /// (what lets AnswerGroupedData total every group in one pass).
   std::vector<bool> distinct_groups_;
-  /// Hierarchical release of the count histogram (1-D views under
-  /// MatrixStrategy::kHierarchical only).
-  std::optional<HierarchicalHistogram> hier_count_;
   size_t total_cells_ = 1;
   // measure key -> noisy / exact cell arrays (count first).
   std::map<std::string, std::vector<double>> noisy_;
@@ -198,7 +186,6 @@ struct SynopsisParts {
   std::map<std::string, std::vector<double>> exact;
   double count_noise_scale = 0;
   Synopsis::BuildStats stats;
-  std::optional<HierarchicalHistogram> hier_count;
 };
 
 /// Finds (or synthesizes by FK-path augmentation) an expression that

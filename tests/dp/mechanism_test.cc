@@ -86,5 +86,39 @@ TEST(LaplaceMechanismTest, NoiseShrinksWithEpsilon) {
   EXPECT_GT(dev_small_eps, dev_large_eps * 10);
 }
 
+TEST(IdentityStrategyTest, PreservesSizeAndApproximatesCells) {
+  Random rng(1);
+  std::vector<double> cells = {100, 0, 50, 200};
+  auto noisy = PublishIdentity(cells, 1.0, 4.0, &rng);
+  ASSERT_TRUE(noisy.ok());
+  ASSERT_EQ(noisy->size(), 4u);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_NEAR((*noisy)[i], cells[i], 10.0);
+  }
+}
+
+TEST(IdentityStrategyTest, RejectsBadEpsilon) {
+  Random rng(1);
+  EXPECT_FALSE(PublishIdentity({1.0}, 1.0, 0.0, &rng).ok());
+}
+
+TEST(IdentityStrategyTest, NoiseMagnitudeMatchesScale) {
+  Random rng(2);
+  std::vector<double> cells(20000, 0.0);
+  auto noisy = PublishIdentity(cells, 2.0, 1.0, &rng);
+  ASSERT_TRUE(noisy.ok());
+  double abs_dev = 0;
+  for (double v : *noisy) abs_dev += std::fabs(v);
+  // E|Lap(b)| = b = sensitivity / epsilon = 2.
+  EXPECT_NEAR(abs_dev / noisy->size(), 2.0, 0.1);
+}
+
+TEST(IdentityStrategyTest, EmptyCellsPublishNothing) {
+  Random rng(3);
+  auto noisy = PublishIdentity({}, 1.0, 1.0, &rng);
+  ASSERT_TRUE(noisy.ok());
+  EXPECT_TRUE(noisy->empty());
+}
+
 }  // namespace
 }  // namespace viewrewrite

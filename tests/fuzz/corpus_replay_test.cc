@@ -91,14 +91,43 @@ TEST(CorpusReplayTest, DeepParensRefusedWithResourceExhausted) {
       << stmt.status();
 }
 
+Status LoadVrsySeed(const fs::path& path) {
+  Result<SynopsisStore> store =
+      SynopsisStore::Load(path.string(), MakeTpchSchema(), fuzz::FuzzLimits());
+  return store.ok() ? Status::OK() : store.status();
+}
+
 TEST(CorpusReplayTest, HugeDoubleCountRefusedWithoutAllocating) {
   fs::path path =
       fs::path(VR_REGRESSION_CORPUS_DIR) / "vrsy/huge_double_count.vrsy";
   std::vector<uint8_t> input = ReadBytes(path);
   ASSERT_FALSE(input.empty());
   // Route through the harness (stages via temp file) and also assert the
-  // typed refusal directly: the 2^60-element declaration must fail fast.
+  // typed refusal directly: past a valid header, the view section's count
+  // array declares 2^60 doubles, and the bounds check on that declaration
+  // (not the version check, a missing header or a checksum) refuses it.
   fuzz::OneVrsyLoaderInput(input.data(), input.size());
+  Status st = LoadVrsySeed(path);
+  ASSERT_EQ(st.code(), StatusCode::kCorruption) << st;
+  EXPECT_NE(st.message().find("declares 1152921504606846976 elements"),
+            std::string::npos)
+      << st;
+}
+
+TEST(CorpusReplayTest, VrsySeedsGetPastTheVersionCheck) {
+  // A format-version bump leaves every seed carrying the old version
+  // stuck at the version check, never reaching the parser it targets.
+  // Only the seed that pins the version refusal itself may stop there.
+  for (const fs::path& path : CorpusFiles("vrsy")) {
+    SCOPED_TRACE(path.string());
+    Status st = LoadVrsySeed(path);
+    EXPECT_FALSE(st.ok());
+    if (path.filename() == "version_999.vrsy") {
+      EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st;
+    } else {
+      EXPECT_NE(st.code(), StatusCode::kUnsupported) << st;
+    }
+  }
 }
 
 TEST(CorpusReplayTest, TornWalReplaysToValidPrefix) {

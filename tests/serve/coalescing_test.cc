@@ -153,8 +153,13 @@ TEST_F(CoalescingTest, CanonicalVariantsMergeIntoOneComputation) {
   const std::string variant_b =
       "select COUNT(*) FROM orders o WHERE ((o.o_totalprice >= 64))";
 
+  // B is submitted once A is parked at its answer point: by then A has
+  // registered its canonical flight key, so B (not A) is the one that
+  // merges. `flights` is counted before A even parses.
   auto a = server.Submit(variant_a);
-  ASSERT_TRUE(SpinUntil([&] { return server.stats().flights >= 1; }));
+  ASSERT_TRUE(SpinUntil([] {
+    return FaultInjection::Instance().HitCount(faults::kServeAnswer) >= 1;
+  }));
   auto b = server.Submit(variant_b);
   ASSERT_TRUE(SpinUntil([&] { return server.stats().merged_flights >= 1; }))
       << "canonical-equal flight did not merge";

@@ -28,12 +28,70 @@ void AppendU32(std::string* out, uint32_t v) {
 void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(char((v >> (8 * i)) & 0xFF));
 }
+void AppendDouble(std::string* out, double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  AppendU64(out, bits);
+}
+void AppendString(std::string* out, const std::string& s) {
+  AppendU64(out, s.size());
+  *out += s;
+}
 
+/// The file header of the format version this build reads (2): any other
+/// version stops at the version check, before the parsers under test.
 std::string FileHeader() {
   std::string out = "VRSY";
-  AppendU16(&out, 1);  // format version
+  AppendU16(&out, 2);  // format version
   AppendU16(&out, 0);  // reserved
   return out;
+}
+
+/// Appends one section with a valid CRC, so a refusal provably comes from
+/// parsing its payload, not from checksum verification.
+void AppendSection(std::string* bundle, char tag, const std::string& payload) {
+  AppendU32(bundle, static_cast<uint32_t>(tag));
+  AppendU64(bundle, payload.size());
+  *bundle += payload;
+  AppendU32(bundle, Crc32(payload.data(), payload.size()));
+}
+
+/// A file header plus a header section the loader accepts for the test
+/// schema: a view section after it is parsed, not refused for lacking one.
+std::string BundleThroughHeaderSection() {
+  std::string payload;
+  AppendU64(&payload, SchemaFingerprint(testing_support::MakeTestSchema()));
+  AppendU32(&payload, 1);       // declared views
+  AppendDouble(&payload, 1.0);  // total ε
+  AppendDouble(&payload, 1.0);  // spent ε
+  AppendU32(&payload, 1);       // ledger entries
+  AppendU32(&payload, 0);       // refunds
+  std::string bundle = FileHeader();
+  AppendSection(&bundle, 'H', payload);
+  return bundle;
+}
+
+/// A view section payload that parses up to its noisy count array, whose
+/// declared element count is `count`.
+std::string ViewPayloadDeclaringDoubles(uint64_t count) {
+  std::string payload;
+  AppendString(&payload, "v");
+  AppendString(&payload, "SELECT count(*) FROM orders o");
+  AppendU32(&payload, 0);       // attributes
+  AppendU32(&payload, 0);       // measures
+  AppendU32(&payload, 0);       // dimensions
+  AppendU64(&payload, 1);       // total cells
+  AppendDouble(&payload, 1.0);  // count noise scale
+  AppendU64(&payload, 1);       // build stats: tau
+  AppendDouble(&payload, 0.0);  //   dls
+  AppendU64(&payload, 0);       //   materialized rows
+  AppendU64(&payload, 0);       //   truncated rows
+  AppendU64(&payload, 1);       //   cells
+  AppendDouble(&payload, 1.0);  //   epsilon
+  AppendU32(&payload, 1);       // noisy measure arrays
+  AppendString(&payload, "count");
+  AppendU64(&payload, count);
+  return payload;
 }
 
 std::string WriteBundle(const std::string& name, const std::string& bytes) {
@@ -52,38 +110,31 @@ Status LoadStatus(const std::string& path,
 }
 
 TEST(HostileBundleTest, SectionDeclaringTwoToTheSixtyDoublesRefused) {
-  // A section whose payload opens with a count of 2^60 doubles. The old
-  // bounds check computed n * 8, which wraps to 0 for n = 2^61 — this
-  // count is chosen so both the wrap and the straight comparison paths
-  // must refuse.
-  std::string payload;
-  AppendU64(&payload, uint64_t{1} << 60);
-  payload += "xyz";
-  std::string bundle = FileHeader();
-  AppendU32(&bundle, 'V');
-  AppendU64(&bundle, payload.size());
-  bundle += payload;
-  // Valid CRC, so the refusal provably comes from the bounds check on the
-  // declared count, not from checksum verification.
-  AppendU32(&bundle, Crc32(payload.data(), payload.size()));
+  // A cell array declaring 2^60 doubles. The old bounds check computed
+  // n * 8, which wraps to 0 for n = 2^61 — this count is chosen so both
+  // the wrap and the straight comparison paths must refuse.
+  std::string bundle = BundleThroughHeaderSection();
+  AppendSection(&bundle, 'V',
+                ViewPayloadDeclaringDoubles(uint64_t{1} << 60) + "xyz");
   Status st = LoadStatus(WriteBundle("huge_double_count.vrsy", bundle));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("declares 1152921504606846976 elements"),
+            std::string::npos)
+      << st.ToString();
 }
 
 TEST(HostileBundleTest, ElementCountWhoseByteSizeWrapsUint64Refused) {
   // n = 2^61: n * 8 == 2^64 == 0 (mod 2^64). A `Need(n * 8)` style check
   // passes vacuously; the divide-based check must still refuse.
-  std::string payload;
-  AppendU64(&payload, uint64_t{1} << 61);
-  std::string bundle = FileHeader();
-  AppendU32(&bundle, 'V');
-  AppendU64(&bundle, payload.size());
-  bundle += payload;
-  AppendU32(&bundle, Crc32(payload.data(), payload.size()));
+  std::string bundle = BundleThroughHeaderSection();
+  AppendSection(&bundle, 'V', ViewPayloadDeclaringDoubles(uint64_t{1} << 61));
   Status st = LoadStatus(WriteBundle("wrapping_count.vrsy", bundle));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("declares 2305843009213693952 elements"),
+            std::string::npos)
+      << st.ToString();
 }
 
 TEST(HostileBundleTest, SectionLengthPastEofRefused) {
@@ -94,6 +145,8 @@ TEST(HostileBundleTest, SectionLengthPastEofRefused) {
   Status st = LoadStatus(WriteBundle("section_past_eof.vrsy", bundle));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("truncated synopsis bundle"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(HostileBundleTest, FileLargerThanArenaBudgetRefusedBeforeBuffering) {

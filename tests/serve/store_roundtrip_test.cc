@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,38 @@ TEST(StoreRoundTripTest, LoadUnderDriftedSchemaIsRejected) {
   EXPECT_EQ(drifted.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(drifted.status().message().find("schema drift"),
             std::string::npos);
+}
+
+TEST(StoreRoundTripTest, VersionOneBundleRefusedAsUnsupported) {
+  // A bundle of an older format version is refused by its header, with a
+  // message naming both versions, before any section is parsed.
+  TpchConfig config;
+  config.customers = 20;
+  config.parts = 20;
+  auto db = GenerateTpch(config);
+  ViewRewriteEngine engine(*db, PrivacyPolicy{"orders"}, EngineOptions{});
+  ASSERT_TRUE(engine.Prepare(SmallWorkload(1, 4)).ok());
+  auto store = SynopsisStore::FromManager(engine.views(), db->schema());
+  ASSERT_TRUE(store.ok()) << store.status();
+  const std::string path = ::testing::TempDir() + "v1_bundle.vrsy";
+  ASSERT_TRUE(store->Save(path).ok());
+  ASSERT_TRUE(SynopsisStore::Load(path, db->schema()).ok());
+
+  {
+    // Bytes 4-5 hold the little-endian format version.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(4);
+    f.write("\x01\x00", 2);
+    ASSERT_TRUE(f.good());
+  }
+  auto old = SynopsisStore::Load(path, db->schema());
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kUnsupported) << old.status();
+  EXPECT_NE(old.status().message().find("format version 1"),
+            std::string::npos)
+      << old.status();
+  EXPECT_NE(old.status().message().find("reads version 2"), std::string::npos)
+      << old.status();
 }
 
 TEST(StoreRoundTripTest, FromManagerWithoutPublishFails) {
