@@ -113,7 +113,7 @@ void BM_CellAnswer(benchmark::State& state) {
   Random rng(9);
   (void)manager.Publish(db, 8.0, &rng);
   for (auto _ : state) {
-    auto r = manager.Answer(*bound);
+    auto r = AnswerBound(manager.synopses(), *bound);
     benchmark::DoNotOptimize(r);
   }
 }

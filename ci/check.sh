@@ -129,6 +129,7 @@ cmake --build build-asan -j "$(nproc)" --target \
   admission_test corpus_replay_test \
   aggregate_planner_test suppression_test grouped_serve_test \
   cell_eval_test cell_program_test synopsis_test grouped_test \
+  insensitive_test budget_allocation_test engine_test census_engine_test \
   store_roundtrip_test \
   query_server_test answer_cache_test shutdown_race_test reload_test \
   resilience_test deadline_test private_sql_test template_cache_test \
@@ -137,7 +138,7 @@ cmake --build build-asan -j "$(nproc)" --target \
 
 echo "== asan+ubsan: ctest (robustness suite) =="
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-  --output-junit ctest-asan.xml -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|IdentityStrategy|EpsilonReconciliation|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|StoreRoundTrip|CellProgram|QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|PrivateSql|Template|QueryShape')
+  --output-junit ctest-asan.xml -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|IdentityStrategy|EpsilonReconciliation|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|StoreRoundTrip|CellProgram|QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|PrivateSql|Template|QueryShape|Insensitive|BudgetAllocation|EngineTest|CensusEngine')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== asan+ubsan: republish chaos smoke (single seed, lifecycle races) =="
@@ -204,6 +205,13 @@ cmake --build build-tsan -j "$(nproc)" --target \
 echo "== tsan: ctest (concurrent serving layer) =="
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
   --output-junit ctest-tsan.xml -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority|Template|QueryShape')
+
+echo "== tsan: ordering-sensitive serve tests, each repeated until it fails (3 runs) =="
+# These suites order concurrent requests around held fault points; a
+# scheduling-dependent ordering shows up as an intermittent failure.
+(cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
+  --repeat until-fail:3 --output-junit ctest-tsan-repeat.xml \
+  -R 'Coalescing|Deadline|Resilience|Template')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== tsan: chaos soak (reduced seeds) =="

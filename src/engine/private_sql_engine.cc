@@ -175,7 +175,7 @@ Result<double> PrivateSqlEngine::NoisyAnswer(size_t i) {
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
   auto t0 = std::chrono::steady_clock::now();
-  Result<double> out = views_.Answer(bound_[i]);
+  Result<double> out = AnswerBound(views_.synopses(), bound_[i]);
   stats_.answer_seconds += SecondsSince(t0);
   return out;
 }
@@ -193,7 +193,7 @@ Result<double> PrivateSqlEngine::ExactViewAnswer(size_t i) const {
     return Status::InvalidArgument("query index out of range");
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
-  return views_.Answer(bound_[i], /*exact=*/true);
+  return AnswerBound(views_.ground_truth(), bound_[i]);
 }
 
 Result<double> PrivateSqlEngine::RelativeError(size_t i) {

@@ -219,8 +219,7 @@ bool ViewRewriteEngine::IsGrouped(size_t i) const {
          !q.terms[0].query.cell_query->group_by.empty();
 }
 
-Result<aggregate::GroupedData> ViewRewriteEngine::GroupedAnswer(size_t i,
-                                                                bool exact) {
+Result<aggregate::GroupedData> ViewRewriteEngine::GroupedAnswer(size_t i) {
   if (i >= bound_.size()) {
     return Status::InvalidArgument("query index out of range");
   }
@@ -231,7 +230,8 @@ Result<aggregate::GroupedData> ViewRewriteEngine::GroupedAnswer(size_t i,
   }
   auto t0 = std::chrono::steady_clock::now();
   Result<aggregate::GroupedData> out =
-      views_.AnswerGroupedData(bound_[i].terms[0].query, /*params=*/{}, exact);
+      AnswerBoundGrouped(views_.synopses(), bound_[i].terms[0].query,
+                         /*params=*/{});
   stats_.answer_seconds += SecondsSince(t0);
   return out;
 }
@@ -246,7 +246,7 @@ Result<double> ViewRewriteEngine::NoisyAnswer(size_t i) {
                                " is grouped; use GroupedAnswer");
   }
   auto t0 = std::chrono::steady_clock::now();
-  Result<double> out = views_.Answer(bound_[i]);
+  Result<double> out = AnswerBound(views_.synopses(), bound_[i]);
   stats_.answer_seconds += SecondsSince(t0);
   return out;
 }
@@ -272,7 +272,7 @@ Result<double> ViewRewriteEngine::ExactViewAnswer(size_t i) const {
     return Status::Unsupported("query " + std::to_string(i) +
                                " is grouped; use GroupedAnswer");
   }
-  return views_.Answer(bound_[i], /*exact=*/true);
+  return AnswerBound(views_.ground_truth(), bound_[i]);
 }
 
 Result<double> ViewRewriteEngine::RelativeError(size_t i) {

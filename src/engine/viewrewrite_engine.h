@@ -167,9 +167,8 @@ class ViewRewriteEngine {
 
   /// Row-carrying answer for a grouped workload query: one row per group
   /// cell, derived aggregates computed from published measures, HAVING
-  /// evaluated post-noise. With `exact`, uses pre-noise cell totals (the
-  /// chaos/benchmark baseline). Pure post-processing: no privacy cost.
-  Result<aggregate::GroupedData> GroupedAnswer(size_t i, bool exact = false);
+  /// evaluated post-noise. Pure post-processing: no privacy cost.
+  Result<aggregate::GroupedData> GroupedAnswer(size_t i);
 
   /// Differentially private answer for workload query `i`.
   Result<double> NoisyAnswer(size_t i);
@@ -177,9 +176,10 @@ class ViewRewriteEngine {
   /// Exact answer (via the executor, on the rewritten form).
   Result<double> TrueAnswer(size_t i) const;
 
-  /// Exact answer computed from the noiseless view cells — the paper's
-  /// systems answer workload queries exactly from view tuples, so this is
-  /// the benchmark ground truth (the executor path cross-checks it in the
+  /// Exact answer computed from the views' ground-truth twins (the
+  /// pre-noise cells, ViewManager::ground_truth()) — the paper's systems
+  /// answer workload queries exactly from view tuples, so this is the
+  /// benchmark ground truth (the executor path cross-checks it in the
   /// tests but is too slow for 12000-query sweeps).
   Result<double> ExactViewAnswer(size_t i) const;
 

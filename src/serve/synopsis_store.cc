@@ -18,7 +18,7 @@ namespace {
 // ---- Binary encoding helpers (little-endian, doubles as bit patterns). ----
 
 constexpr char kMagic[4] = {'V', 'R', 'S', 'Y'};
-constexpr uint16_t kFormatVersion = 2;
+constexpr uint16_t kFormatVersion = 3;
 
 constexpr uint32_t kSectionHeader = 'H';
 constexpr uint32_t kSectionGeneration = 'G';
@@ -322,11 +322,10 @@ Result<SelectStmtPtr> FromTemplateFromSql(const std::string& sql) {
 
 // ---- View + synopsis sections. --------------------------------------------
 
+/// The build statistics a release carries (τ, grid size, view ε); the
+/// exact ones stay with the ground-truth twin and are never written.
 void PutBuildStats(std::string* out, const Synopsis::BuildStats& s) {
   PutI64(out, s.tau);
-  PutDouble(out, s.dls);
-  PutU64(out, s.materialized_rows);
-  PutU64(out, s.truncated_rows);
   PutU64(out, s.cells);
   PutDouble(out, s.epsilon);
 }
@@ -334,36 +333,33 @@ void PutBuildStats(std::string* out, const Synopsis::BuildStats& s) {
 Result<Synopsis::BuildStats> ReadBuildStats(Reader* r) {
   Synopsis::BuildStats s;
   VR_ASSIGN_OR_RETURN(s.tau, r->I64());
-  VR_ASSIGN_OR_RETURN(s.dls, r->Double());
-  VR_ASSIGN_OR_RETURN(uint64_t mat, r->U64());
-  VR_ASSIGN_OR_RETURN(uint64_t trunc, r->U64());
   VR_ASSIGN_OR_RETURN(uint64_t cells, r->U64());
   VR_ASSIGN_OR_RETURN(s.epsilon, r->Double());
-  s.materialized_rows = mat;
-  s.truncated_rows = trunc;
   s.cells = cells;
   return s;
 }
 
-void PutMeasureArrays(std::string* out,
-                      const std::map<std::string, std::vector<double>>& m) {
-  PutU32(out, static_cast<uint32_t>(m.size()));
-  for (const auto& [key, cells] : m) {
+/// One record per measure: key, the Laplace scale of its release, cells.
+void PutMeasures(std::string* out, const SynopsisParts& parts) {
+  PutU32(out, static_cast<uint32_t>(parts.noisy.size()));
+  for (const auto& [key, cells] : parts.noisy) {
+    auto scale = parts.noise_scales.find(key);
     PutString(out, key);
+    PutDouble(out, scale == parts.noise_scales.end() ? 0.0 : scale->second);
     PutDoubles(out, cells);
   }
 }
 
-Result<std::map<std::string, std::vector<double>>> ReadMeasureArrays(
-    Reader* r) {
+Status ReadMeasures(Reader* r, SynopsisParts* parts) {
   VR_ASSIGN_OR_RETURN(uint32_t n, r->U32());
-  std::map<std::string, std::vector<double>> out;
   for (uint32_t i = 0; i < n; ++i) {
     VR_ASSIGN_OR_RETURN(std::string key, r->String());
+    VR_ASSIGN_OR_RETURN(double scale, r->Double());
     VR_ASSIGN_OR_RETURN(std::vector<double> cells, r->Doubles());
-    out.emplace(std::move(key), std::move(cells));
+    parts->noise_scales.emplace(key, scale);
+    parts->noisy.emplace(std::move(key), std::move(cells));
   }
-  return out;
+  return Status::OK();
 }
 
 void PutViewSection(std::string* out, const ViewDef& view,
@@ -390,10 +386,8 @@ void PutViewSection(std::string* out, const ViewDef& view,
   PutU32(out, static_cast<uint32_t>(parts.dim_sizes.size()));
   for (int64_t d : parts.dim_sizes) PutI64(out, d);
   PutU64(out, parts.total_cells);
-  PutDouble(out, parts.count_noise_scale);
   PutBuildStats(out, parts.stats);
-  PutMeasureArrays(out, parts.noisy);
-  PutMeasureArrays(out, parts.exact);
+  PutMeasures(out, parts);
 }
 
 struct LoadedView {
@@ -442,10 +436,8 @@ Result<LoadedView> ReadViewSection(Reader* r) {
   }
   VR_ASSIGN_OR_RETURN(uint64_t total_cells, r->U64());
   out.parts.total_cells = total_cells;
-  VR_ASSIGN_OR_RETURN(out.parts.count_noise_scale, r->Double());
   VR_ASSIGN_OR_RETURN(out.parts.stats, ReadBuildStats(r));
-  VR_ASSIGN_OR_RETURN(out.parts.noisy, ReadMeasureArrays(r));
-  VR_ASSIGN_OR_RETURN(out.parts.exact, ReadMeasureArrays(r));
+  VR_RETURN_NOT_OK(ReadMeasures(r, &out.parts));
   return out;
 }
 
@@ -815,43 +807,6 @@ Result<BoundRewrittenQuery> SynopsisStore::Bind(const RewrittenQuery& rq,
     out.terms.push_back({term.coeff, std::move(*bq)});
   }
   return out;
-}
-
-Result<double> SynopsisStore::AnswerScalar(const BoundQuery& q,
-                                           const ParamMap& params) const {
-  const Synopsis* syn = Find(q.view_signature);
-  if (syn == nullptr) {
-    return Status::NotFound("no stored synopsis for view '" +
-                            q.view_signature + "'");
-  }
-  return syn->AnswerScalar(*q.cell_query, params);
-}
-
-Result<aggregate::GroupedData> SynopsisStore::AnswerGrouped(
-    const BoundQuery& q, const ParamMap& params) const {
-  const Synopsis* syn = Find(q.view_signature);
-  if (syn == nullptr) {
-    return Status::NotFound("no stored synopsis for view '" +
-                            q.view_signature + "'");
-  }
-  return syn->AnswerGroupedData(*q.cell_query, params);
-}
-
-Result<double> SynopsisStore::Answer(const BoundRewrittenQuery& q,
-                                     const ParamMap& params) const {
-  // Same evaluation order as ViewManager::Answer: chain links bind their
-  // $var parameters first, then the signed combination totals.
-  ParamMap bound_params = params;
-  for (const auto& link : q.chain) {
-    VR_ASSIGN_OR_RETURN(double v, AnswerScalar(link.query, bound_params));
-    bound_params[link.var] = Value::Double(v);
-  }
-  double total = 0;
-  for (const auto& term : q.terms) {
-    VR_ASSIGN_OR_RETURN(double v, AnswerScalar(term.query, bound_params));
-    total += term.coeff * v;
-  }
-  return total;
 }
 
 }  // namespace viewrewrite

@@ -20,9 +20,12 @@ namespace viewrewrite {
 /// ledger. Once published, the noisy cells are just data — saving and
 /// reloading them consumes no further privacy budget (DP post-processing),
 /// which is the paper's "publish once, serve forever" property made
-/// durable across process restarts.
+/// durable across process restarts. A store holds only DP outputs and
+/// public metadata: no exact cell or exact build statistic is copied in,
+/// saved or loaded (the ground truth stays with the publishing
+/// ViewManager).
 ///
-/// ## On-disk format (version 1)
+/// ## On-disk format (version 3)
 ///
 /// All integers little-endian, doubles as IEEE-754 bit patterns (so a
 /// save/load round trip is bit-identical). Layout:
@@ -36,7 +39,8 @@ namespace viewrewrite {
 /// generation number, parent epoch, changed-relation set, per-generation
 /// epsilon, per-view data generations — optional, at most one, defaults
 /// to generation 0 when absent so pre-lifecycle bundles still load), 'V'
-/// one view + its synopsis parts, 'E' end marker (empty payload). Load
+/// one view + its synopsis parts (the noisy cells and the Laplace scale
+/// of each measure's release), 'E' end marker (empty payload). Load
 /// verifies magic, version, every section CRC, and the schema
 /// fingerprint, and returns a typed Status (Corruption / Unsupported /
 /// InvalidArgument) instead of crashing on any mismatch, truncation, or
@@ -174,20 +178,20 @@ class SynopsisStore {
   Result<BoundRewrittenQuery> Bind(const RewrittenQuery& rq,
                                    const BakePredicate& bake) const;
 
-  /// Answers one bound scalar from the stored noisy cells.
-  Result<double> AnswerScalar(const BoundQuery& q, const ParamMap& params) const;
-
   /// Answers a bound grouped query from the stored noisy cells: one row
   /// per group cell with per-row noisy counts (the suppression input),
   /// derived aggregates from published measures, HAVING post-noise.
   Result<aggregate::GroupedData> AnswerGrouped(const BoundQuery& q,
-                                               const ParamMap& params) const;
+                                               const ParamMap& params) const {
+    return AnswerBoundGrouped(synopses_, q, params);
+  }
 
-  /// Answers a bound rewritten query: chain links evaluate first (their
-  /// results bind $var parameters), then the signed combination, exactly
-  /// as ViewManager::Answer does in-process.
+  /// Answers a bound rewritten query from the stored noisy cells, through
+  /// the same AnswerBound the engines answer with in-process.
   Result<double> Answer(const BoundRewrittenQuery& q,
-                        const ParamMap& params = {}) const;
+                        const ParamMap& params = {}) const {
+    return AnswerBound(synopses_, q, params);
+  }
 
  private:
   SynopsisStore() = default;
@@ -201,7 +205,7 @@ class SynopsisStore {
   /// built once and then immutable).
   std::vector<std::unique_ptr<ViewDef>> views_;
   std::map<std::string, size_t> view_index_;  // signature -> views_ index
-  std::map<std::string, Synopsis> synopses_;  // signature -> synopsis
+  SynopsisMap synopses_;                      // signature -> synopsis
 };
 
 }  // namespace viewrewrite

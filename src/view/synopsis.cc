@@ -19,6 +19,12 @@ namespace {
 
 constexpr const char* kKeyAlias = "__pk";
 
+/// MIN/MAX's presence floor on a release: a slice's noisy count must clear
+/// twice the count's noise scale, and at least one row.
+double ReleaseExtremumFloor(double count_noise_scale) {
+  return std::max(1.0, 2.0 * count_noise_scale);
+}
+
 void CollectBaseLeaves(const TableRef& ref,
                        std::vector<const BaseTableRef*>* out) {
   switch (ref.kind) {
@@ -177,7 +183,8 @@ Result<ExprPtr> ResolvePrivacyKey(SelectStmt* mat_stmt, const Schema& schema,
 
 Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
                                  const PrivacyPolicy& policy, double epsilon,
-                                 const SynopsisOptions& options, Random* rng) {
+                                 const SynopsisOptions& options, Random* rng,
+                                 std::optional<Synopsis>* truth) {
   if (epsilon <= 0) {
     return Status::PrivacyError("synopsis requires a positive budget");
   }
@@ -299,30 +306,40 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
   s.stats_.truncated_rows = kept_rows;
   s.stats_.cells = s.total_cells_;
 
+  // The ground-truth twin shares the grid and every build statistic; the
+  // release keeps only the statistics that are DP outputs or public.
+  Synopsis twin = s;
+  twin.extremum_floor_ = 0.5;
+  s.stats_.dls = 0;
+  s.stats_.materialized_rows = 0;
+  s.stats_.truncated_rows = 0;
+
   // ---- Publish with the matrix mechanism (identity strategy). --------------
   const double eps_hist =
       epsilon * (1.0 - options.trunc_pivot_frac - options.trunc_svt_frac);
   const double eps_each = eps_hist / static_cast<double>(1 + n_sums);
 
   const double count_sensitivity = insensitive ? 0.0 : static_cast<double>(tau);
-  VR_ASSIGN_OR_RETURN(
-      std::vector<double> noisy_count,
-      PublishIdentity(count_cells, count_sensitivity, eps_each, rng));
-  s.count_noise_scale_ = count_sensitivity / eps_each;
-  s.exact_["count"] = std::move(count_cells);
-  s.noisy_["count"] = std::move(noisy_count);
+  auto release = [&](const std::string& key, std::vector<double> exact,
+                     double sensitivity) -> Status {
+    VR_ASSIGN_OR_RETURN(std::vector<double> noisy,
+                        PublishIdentity(exact, sensitivity, eps_each, rng));
+    s.cells_[key] = std::move(noisy);
+    s.noise_scales_[key] = sensitivity / eps_each;
+    twin.cells_[key] = std::move(exact);
+    return Status::OK();
+  };
+  VR_RETURN_NOT_OK(release("count", std::move(count_cells), count_sensitivity));
+  s.extremum_floor_ = ReleaseExtremumFloor(s.noise_scales_["count"]);
 
   for (size_t m = 0; m < n_sums; ++m) {
     double bound = 1.0;
     int mi = view.MeasureIndex(sum_keys[m]);
     if (mi >= 0) bound = view.measures()[mi].value_bound;
-    VR_ASSIGN_OR_RETURN(
-        std::vector<double> noisy,
-        PublishIdentity(sum_cells[m], count_sensitivity * bound, eps_each,
-                        rng));
-    s.exact_[sum_keys[m]] = std::move(sum_cells[m]);
-    s.noisy_[sum_keys[m]] = std::move(noisy);
+    VR_RETURN_NOT_OK(release(sum_keys[m], std::move(sum_cells[m]),
+                             count_sensitivity * bound));
   }
+  if (truth != nullptr) *truth = std::move(twin);
   return s;
 }
 
@@ -373,20 +390,12 @@ int64_t Synopsis::CellOf(size_t dim, const Value& v) const {
   return idx;
 }
 
-const std::vector<double>& Synopsis::ExactCells(
-    const std::string& measure_key) const {
-  static const std::vector<double>* empty = new std::vector<double>();
-  auto it = exact_.find(measure_key);
-  return it == exact_.end() ? *empty : it->second;
-}
-
 SynopsisParts Synopsis::ToParts() const {
   SynopsisParts parts;
   parts.dim_sizes = dim_sizes_;
   parts.total_cells = total_cells_;
-  parts.noisy = noisy_;
-  parts.exact = exact_;
-  parts.count_noise_scale = count_noise_scale_;
+  parts.noisy = cells_;
+  parts.noise_scales = noise_scales_;
   parts.stats = stats_;
   return parts;
 }
@@ -422,26 +431,33 @@ Result<Synopsis> Synopsis::FromParts(const ViewDef* view,
     return Status::Corruption("synopsis cell total mismatch for view '" +
                               view->signature() + "'");
   }
-  if (parts.noisy.count("count") == 0 || parts.exact.count("count") == 0) {
+  if (parts.noisy.count("count") == 0) {
     return Status::Corruption("synopsis for view '" + view->signature() +
                               "' is missing its count histogram");
   }
-  for (const auto* arrays : {&parts.noisy, &parts.exact}) {
-    for (const auto& [key, cells] : *arrays) {
-      if (cells.size() != parts.total_cells) {
-        return Status::Corruption("synopsis array '" + key +
-                                  "' has wrong length for view '" +
-                                  view->signature() + "'");
-      }
+  for (const auto& [key, cells] : parts.noisy) {
+    if (cells.size() != parts.total_cells) {
+      return Status::Corruption("synopsis array '" + key +
+                                "' has wrong length for view '" +
+                                view->signature() + "'");
+    }
+  }
+  for (const auto& [key, scale] : parts.noise_scales) {
+    if (parts.noisy.count(key) == 0 || !std::isfinite(scale) || scale < 0) {
+      return Status::Corruption("synopsis noise scale for '" + key +
+                                "' is invalid for view '" +
+                                view->signature() + "'");
     }
   }
   Synopsis s;
   s.view_ = view;
   s.dim_sizes_ = std::move(parts.dim_sizes);
   s.total_cells_ = parts.total_cells;
-  s.noisy_ = std::move(parts.noisy);
-  s.exact_ = std::move(parts.exact);
-  s.count_noise_scale_ = parts.count_noise_scale;
+  s.cells_ = std::move(parts.noisy);
+  s.noise_scales_ = std::move(parts.noise_scales);
+  const auto count_scale = s.noise_scales_.find("count");
+  s.extremum_floor_ = ReleaseExtremumFloor(
+      count_scale == s.noise_scales_.end() ? 0.0 : count_scale->second);
   s.stats_ = parts.stats;
   s.ComputeRepresentatives();
   return s;
@@ -581,9 +597,7 @@ Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
 
 Result<double> Synopsis::EstimateExtremum(const ColumnRefExpr& column,
                                           bool is_max, const Expr* where,
-                                          const ParamMap& params,
-                                          bool use_exact) const {
-  const auto& arrays = use_exact ? exact_ : noisy_;
+                                          const ParamMap& params) const {
   const int found = view_->AttributeIndex(column.table, column.column);
   if (found < 0) {
     return Status::NotFound("extremum column '" + column.FullName() +
@@ -602,7 +616,7 @@ Result<double> Synopsis::EstimateExtremum(const ColumnRefExpr& column,
         MakeLiteral(reps_[dim][static_cast<size_t>(idx)]));
     ExprPtr combined =
         where ? MakeAnd(where->Clone(), std::move(eq)) : std::move(eq);
-    return SumMatchingCells(arrays.at("count"), combined.get(), params);
+    return SumMatchingCells(cells_.at("count"), combined.get(), params);
   };
   std::vector<double> counts;
   counts.reserve(static_cast<size_t>(cells));
@@ -610,17 +624,15 @@ Result<double> Synopsis::EstimateExtremum(const ColumnRefExpr& column,
     VR_ASSIGN_OR_RETURN(double c, slice_count(idx));
     counts.push_back(c);
   }
-  const double threshold =
-      use_exact ? 0.5 : std::max(1.0, 2.0 * count_noise_scale_);
   if (is_max) {
     for (int64_t idx = cells - 1; idx >= 0; --idx) {
-      if (counts[static_cast<size_t>(idx)] > threshold) {
+      if (counts[static_cast<size_t>(idx)] > extremum_floor_) {
         return reps_[dim][static_cast<size_t>(idx)].ToDouble();
       }
     }
   } else {
     for (int64_t idx = 0; idx < cells; ++idx) {
-      if (counts[static_cast<size_t>(idx)] > threshold) {
+      if (counts[static_cast<size_t>(idx)] > extremum_floor_) {
         return reps_[dim][static_cast<size_t>(idx)].ToDouble();
       }
     }
@@ -708,26 +720,8 @@ void CollectAggCallsForAnswer(const Expr* e,
 
 }  // namespace
 
-Result<double> Synopsis::AnswerScalar(const SelectStmt& query,
-                                      const ParamMap& params) const {
-  return AnswerScalarImpl(query, params, /*use_exact=*/false);
-}
-
-Result<double> Synopsis::AnswerScalarExact(const SelectStmt& query,
-                                           const ParamMap& params) const {
-  return AnswerScalarImpl(query, params, /*use_exact=*/true);
-}
-
-Result<ResultSet> Synopsis::AnswerGrouped(const SelectStmt& query,
-                                          const ParamMap& params,
-                                          bool use_exact) const {
-  VR_ASSIGN_OR_RETURN(aggregate::GroupedData data,
-                      AnswerGroupedData(query, params, use_exact));
-  return data.ToResultSet();
-}
-
 Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
-    const SelectStmt& query, const ParamMap& params, bool use_exact) const {
+    const SelectStmt& query, const ParamMap& params) const {
   if (query.group_by.empty()) {
     return Status::InvalidArgument("AnswerGrouped requires GROUP BY");
   }
@@ -869,8 +863,8 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
   if (num_groups == 0) return data;
   VR_ASSIGN_OR_RETURN(
       std::optional<std::vector<double>> totals,
-      GroupedReadings(aggs, query.where.get(), params, group_dims, group_cells,
-                      use_exact));
+      GroupedReadings(aggs, query.where.get(), params, group_dims,
+                      group_cells));
   if (totals.has_value()) {
     for (size_t g = 0; g < num_groups; ++g) {
       set_combo(g);
@@ -895,8 +889,8 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
                                  MakeLiteral(rep)));
     }
     for (size_t a = 0; a < aggs.size(); ++a) {
-      VR_ASSIGN_OR_RETURN(readings[a], AnswerAggCall(*aggs[a], where.get(),
-                                                     params, use_exact));
+      VR_ASSIGN_OR_RETURN(readings[a],
+                          AnswerAggCall(*aggs[a], where.get(), params));
     }
     VR_RETURN_NOT_OK(emit_row(readings.data()));
   }
@@ -906,7 +900,7 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
 Result<std::optional<std::vector<double>>> Synopsis::GroupedReadings(
     const std::vector<const FuncCallExpr*>& aggs, const Expr* where,
     const ParamMap& params, const std::vector<size_t>& group_dims,
-    const std::vector<size_t>& group_cells, bool use_exact) const {
+    const std::vector<size_t>& group_cells) const {
   using Readings = std::optional<std::vector<double>>;
   const Readings per_group;  // nullopt: the per-group path answers
   for (size_t dim : group_dims) {
@@ -916,11 +910,10 @@ Result<std::optional<std::vector<double>>> Synopsis::GroupedReadings(
   // group in a single walk. MIN/MAX scan slices, so those (and any plan or
   // measure error, which the per-group path reports) leave the answer to
   // the per-group path.
-  const auto& arrays = use_exact ? exact_ : noisy_;
   std::vector<const std::vector<double>*> measures;
   auto measure = [&](const std::string& key) -> int {
-    auto it = arrays.find(key);
-    if (it == arrays.end()) return -1;
+    auto it = cells_.find(key);
+    if (it == cells_.end()) return -1;
     for (size_t m = 0; m < measures.size(); ++m) {
       if (measures[m] == &it->second) return static_cast<int>(m);
     }
@@ -988,9 +981,8 @@ Result<std::optional<std::vector<double>>> Synopsis::GroupedReadings(
   return Readings(std::move(out));
 }
 
-Result<double> Synopsis::AnswerScalarImpl(const SelectStmt& query,
-                                          const ParamMap& params,
-                                          bool use_exact) const {
+Result<double> Synopsis::AnswerScalar(const SelectStmt& query,
+                                      const ParamMap& params) const {
   if (query.items.size() != 1 || query.items[0].is_star) {
     return Status::InvalidArgument(
         "synopsis answering expects a single aggregate item");
@@ -1004,8 +996,8 @@ Result<double> Synopsis::AnswerScalarImpl(const SelectStmt& query,
 
   std::map<std::string, double> agg_values;
   for (const FuncCallExpr* agg : aggs) {
-    VR_ASSIGN_OR_RETURN(double value, AnswerAggCall(*agg, query.where.get(),
-                                                    params, use_exact));
+    VR_ASSIGN_OR_RETURN(double value,
+                        AnswerAggCall(*agg, query.where.get(), params));
     agg_values[ToSql(*agg)] = value;
   }
   return EvalAggregateExpr(item, agg_values);
@@ -1013,32 +1005,30 @@ Result<double> Synopsis::AnswerScalarImpl(const SelectStmt& query,
 
 Result<double> Synopsis::AnswerAggCall(const FuncCallExpr& agg,
                                        const Expr* where,
-                                       const ParamMap& params,
-                                       bool use_exact) const {
-  const auto& arrays = use_exact ? exact_ : noisy_;
+                                       const ParamMap& params) const {
   VR_ASSIGN_OR_RETURN(aggregate::AggregatePlan plan,
                       aggregate::PlanAggregate(agg));
   if (plan.is_extremum) {
     return EstimateExtremum(static_cast<const ColumnRefExpr&>(*plan.arg),
-                            agg.name == "max", where, params, use_exact);
+                            agg.name == "max", where, params);
   }
   double count = 0;
   double sum = 0;
   double sumsq = 0;
   if (plan.derivation == aggregate::Derivation::kCount || plan.needs_count) {
     VR_ASSIGN_OR_RETURN(count,
-                        SumMatchingCells(arrays.at("count"), where, params));
+                        SumMatchingCells(cells_.at("count"), where, params));
   }
   if (!plan.sum_key.empty()) {
-    auto it = arrays.find(plan.sum_key);
-    if (it == arrays.end()) {
+    auto it = cells_.find(plan.sum_key);
+    if (it == cells_.end()) {
       return Status::NotFound("view has no measure '" + plan.sum_key + "'");
     }
     VR_ASSIGN_OR_RETURN(sum, SumMatchingCells(it->second, where, params));
   }
   if (!plan.sumsq_key.empty()) {
-    auto it = arrays.find(plan.sumsq_key);
-    if (it == arrays.end()) {
+    auto it = cells_.find(plan.sumsq_key);
+    if (it == cells_.end()) {
       return Status::NotFound("view has no measure '" + plan.sumsq_key +
                               "' (needed for " + agg.name + ")");
     }

@@ -33,16 +33,24 @@ struct SynopsisParts;
 /// §9 pipeline — materialize, pick truncation threshold τ (DLS + SVT),
 /// truncate per protected key, add matrix-mechanism noise.
 ///
+/// A Synopsis holds one set of cell arrays and answers from them. Build
+/// can also hand back the release's ground-truth twin: a Synopsis with
+/// the same view and grid over the pre-noise totals. The twin answers
+/// through the same code, stays in the publishing process (ViewManager
+/// keeps it as the benchmark oracle) and is never serialized; ToParts of
+/// a release carries no exact cell or exact build statistic.
+///
 /// Thread safety: once built (or reconstructed), a Synopsis is immutable.
 /// Build and FromParts also compute every cell representative, which
 /// nothing changes afterwards. All const members — AnswerScalar,
-/// AnswerScalarExact, AnswerGrouped, stats, ExactCells — only read the
-/// published arrays and representatives and build per-call state, so any
-/// number of threads may answer queries from one Synopsis concurrently
-/// with no external locking. The serve layer's QueryServer relies on this
-/// contract.
+/// AnswerGroupedData, stats, ToParts — only read the cell arrays and
+/// representatives and build per-call state, so any number of threads
+/// may answer queries from one Synopsis concurrently with no external
+/// locking. The serve layer's QueryServer relies on this contract.
 class Synopsis {
  public:
+  /// `dls`, `materialized_rows` and `truncated_rows` describe the exact
+  /// data: only the ground-truth twin reports them, a release reads 0.
   struct BuildStats {
     int64_t tau = 1;
     double dls = 0;
@@ -53,55 +61,42 @@ class Synopsis {
   };
 
   /// Materializes and publishes the view under `epsilon` (the view's slice
-  /// of the total budget). Deterministic given `rng`.
+  /// of the total budget). Deterministic given `rng`. With `truth` set, it
+  /// also receives the ground-truth twin; the noise drawn is the same
+  /// either way.
   static Result<Synopsis> Build(const ViewDef& view, const Database& db,
                                 const PrivacyPolicy& policy, double epsilon,
-                                const SynopsisOptions& options, Random* rng);
+                                const SynopsisOptions& options, Random* rng,
+                                std::optional<Synopsis>* truth = nullptr);
 
   /// Answers a scalar aggregate `query` whose FROM matches this view by
-  /// totalling the noisy measure cells whose representative values
-  /// satisfy the WHERE. Each call compiles the WHERE once into a cell
-  /// program (per-dimension allowed lists plus truth tables for the
-  /// conjuncts that read several dimensions) and walks the allowed cells
-  /// in flat-index order, so the sum is the same, bit for bit, as
-  /// evaluating the whole WHERE at every cell. Supports COUNT, SUM(expr)
-  /// (for registered measure expressions), MIN/MAX/AVG(col) (estimated
-  /// from the histograms over col's dimension), and arithmetic around
+  /// totalling the measure cells whose representative values satisfy the
+  /// WHERE. Each call compiles the WHERE once into a cell program
+  /// (per-dimension allowed lists plus truth tables for the conjuncts
+  /// that read several dimensions) and walks the allowed cells in
+  /// flat-index order, so the sum is the same, bit for bit, as evaluating
+  /// the whole WHERE at every cell. Supports COUNT, SUM(expr) (for
+  /// registered measure expressions), MIN/MAX/AVG(col) (estimated from
+  /// the histograms over col's dimension), and arithmetic around
   /// aggregate calls.
   Result<double> AnswerScalar(const SelectStmt& query,
                               const ParamMap& params) const;
 
-  /// Same as AnswerScalar but over the exact (pre-noise, pre-truncation-
-  /// noise) cell totals. Benchmarks use it as ground truth: the paper's
-  /// systems answer workload queries exactly from view tuples, so the
-  /// reported error isolates the DP noise.
-  Result<double> AnswerScalarExact(const SelectStmt& query,
-                                   const ParamMap& params) const;
-
   /// Answers a grouped aggregate (GROUP BY over view attributes): one
   /// output row per group cell, keyed by the cell representative, with
-  /// the noisy aggregate per group. This is the private histogram release
-  /// for workloads that want per-group results instead of one scalar.
-  /// Derived aggregates (AVG, VARIANCE, STDDEV) combine published
-  /// measures per the planner; a HAVING clause is evaluated over the
-  /// noisy per-group aggregates (pure post-processing) and filters the
-  /// rows. Every row carries the group's noisy count for the serve
-  /// layer's suppression rule.
+  /// the aggregate per group. On a release this is the private histogram
+  /// release for workloads that want per-group results instead of one
+  /// scalar. Derived aggregates (AVG, VARIANCE, STDDEV) combine measures
+  /// per the planner; a HAVING clause is evaluated over the per-group
+  /// aggregates (post-processing of the noisy ones) and filters the rows.
+  /// Every row carries the group's count for the serve layer's
+  /// suppression rule.
   Result<aggregate::GroupedData> AnswerGroupedData(const SelectStmt& query,
-                                                   const ParamMap& params,
-                                                   bool use_exact = false)
+                                                   const ParamMap& params)
       const;
-
-  /// Flattened convenience wrapper around AnswerGroupedData.
-  Result<ResultSet> AnswerGrouped(const SelectStmt& query,
-                                  const ParamMap& params,
-                                  bool use_exact = false) const;
 
   const BuildStats& stats() const { return stats_; }
   const ViewDef& view() const { return *view_; }
-
-  /// Exact (pre-noise) cell totals, for tests only.
-  const std::vector<double>& ExactCells(const std::string& measure_key) const;
 
   /// Serialization-friendly snapshot of the published state (deep copy,
   /// no view pointer). The serve layer persists these parts.
@@ -121,15 +116,11 @@ class Synopsis {
 
   int64_t CellOf(size_t dim, const Value& v) const;
 
-  Result<double> AnswerScalarImpl(const SelectStmt& query,
-                                  const ParamMap& params,
-                                  bool use_exact) const;
-
   /// Answers one aggregate call over the cells matching `where` by
-  /// combining published measures per its AggregatePlan (the shared
-  /// engine behind both the scalar and the grouped answer paths).
+  /// combining measures per its AggregatePlan (the shared engine behind
+  /// both the scalar and the grouped answer paths).
   Result<double> AnswerAggCall(const FuncCallExpr& agg, const Expr* where,
-                               const ParamMap& params, bool use_exact) const;
+                               const ParamMap& params) const;
 
   /// Compiles `where` into a cell program once and calls
   /// `visit(flat_index, cell)` for every cell it admits, in flat-index
@@ -153,11 +144,11 @@ class Synopsis {
   Result<std::optional<std::vector<double>>> GroupedReadings(
       const std::vector<const FuncCallExpr*>& aggs, const Expr* where,
       const ParamMap& params, const std::vector<size_t>& group_dims,
-      const std::vector<size_t>& group_cells, bool use_exact) const;
+      const std::vector<size_t>& group_cells) const;
 
   Result<double> EstimateExtremum(const ColumnRefExpr& column, bool is_max,
-                                  const Expr* where, const ParamMap& params,
-                                  bool use_exact) const;
+                                  const Expr* where,
+                                  const ParamMap& params) const;
 
   const ViewDef* view_ = nullptr;  // owned by the ViewManager
   std::vector<int64_t> dim_sizes_;  // CellCount()+1 per attribute
@@ -169,22 +160,30 @@ class Synopsis {
   /// (what lets AnswerGroupedData total every group in one pass).
   std::vector<bool> distinct_groups_;
   size_t total_cells_ = 1;
-  // measure key -> noisy / exact cell arrays (count first).
-  std::map<std::string, std::vector<double>> noisy_;
-  std::map<std::string, std::vector<double>> exact_;
-  double count_noise_scale_ = 0;
+  /// measure key -> cell array (count first): noisy on a release, the
+  /// pre-noise totals on the ground-truth twin.
+  std::map<std::string, std::vector<double>> cells_;
+  /// measure key -> Laplace scale of its release (empty on the twin).
+  std::map<std::string, double> noise_scales_;
+  /// MIN/MAX treat a slice of the target dimension as non-empty when its
+  /// count exceeds this floor: twice the count's noise scale, but at least
+  /// one row, on a release; half a row on the ground-truth twin.
+  double extremum_floor_ = 1.0;
   BuildStats stats_;
 };
 
 /// The decomposed state of one published synopsis: everything Save needs
 /// to write and FromParts needs to rebuild answering, minus the ViewDef
-/// binding (persisted separately, re-bound on load).
+/// binding (persisted separately, re-bound on load). It holds only DP
+/// outputs and public metadata.
 struct SynopsisParts {
   std::vector<int64_t> dim_sizes;
   size_t total_cells = 1;
+  /// measure key -> noisy cells (a "count" array is required).
   std::map<std::string, std::vector<double>> noisy;
-  std::map<std::string, std::vector<double>> exact;
-  double count_noise_scale = 0;
+  /// measure key -> Laplace scale its cells were released under; a
+  /// measure without an entry reads scale 0.
+  std::map<std::string, double> noise_scales;
   Synopsis::BuildStats stats;
 };
 

@@ -73,31 +73,6 @@ Result<BoundQuery> ViewManager::RegisterGrouped(const SelectStmt& query,
   return bound;
 }
 
-Result<ResultSet> ViewManager::AnswerGrouped(const BoundQuery& q,
-                                             const ParamMap& params,
-                                             bool exact) const {
-  auto it = synopses_.find(q.view_signature);
-  if (it == synopses_.end()) {
-    auto failed = failed_views_.find(q.view_signature);
-    if (failed != failed_views_.end()) return failed->second;
-    return Status::NotFound("no synopsis published for view '" +
-                            q.view_signature + "'");
-  }
-  return it->second.AnswerGrouped(*q.cell_query, params, exact);
-}
-
-Result<aggregate::GroupedData> ViewManager::AnswerGroupedData(
-    const BoundQuery& q, const ParamMap& params, bool exact) const {
-  auto it = synopses_.find(q.view_signature);
-  if (it == synopses_.end()) {
-    auto failed = failed_views_.find(q.view_signature);
-    if (failed != failed_views_.end()) return failed->second;
-    return Status::NotFound("no synopsis published for view '" +
-                            q.view_signature + "'");
-  }
-  return it->second.AnswerGroupedData(*q.cell_query, params, exact);
-}
-
 Result<BoundQuery> ViewManager::RegisterScalar(const SelectStmt& query,
                                                const BakePredicate& bake) {
   VR_FAULT_POINT(faults::kViewRegister);
@@ -241,10 +216,12 @@ Status ViewManager::Publish(const Database& db, double total_epsilon,
       st = FaultInjection::Instance().Check(faults::kViewPublish);
     }
     if (st.ok()) {
+      std::optional<Synopsis> truth;
       Result<Synopsis> syn =
-          Synopsis::Build(*view, db, policy_, eps_view, options_, rng);
+          Synopsis::Build(*view, db, policy_, eps_view, options_, rng, &truth);
       if (syn.ok()) {
         synopses_.emplace(view->signature(), std::move(syn).value());
+        truth_.emplace(view->signature(), std::move(*truth));
         continue;
       }
       st = syn.status();
@@ -328,11 +305,13 @@ Result<ViewManager::RepublishOutcome> ViewManager::RepublishViews(
       st = FaultInjection::Instance().Check(faults::kRepublishBuild);
     }
     if (st.ok()) {
+      std::optional<Synopsis> truth;
       Result<Synopsis> syn = Synopsis::Build(view, db, policy_,
                                              outcome.epsilon_per_view,
-                                             options_, rng);
+                                             options_, rng, &truth);
       if (syn.ok()) {
         synopses_.insert_or_assign(sig, std::move(syn).value());
+        truth_.insert_or_assign(sig, std::move(*truth));
         outcome.rebuilt.push_back(sig);
         outcome.epsilon_spent += outcome.epsilon_per_view;
         view_data_generation_[sig] = generation;
@@ -375,42 +354,57 @@ const Status* ViewManager::BindingFailure(const BoundRewrittenQuery& q) const {
   return nullptr;
 }
 
-Result<double> ViewManager::AnswerScalar(const BoundQuery& q,
-                                         const ParamMap& params,
-                                         bool exact) const {
-  auto it = synopses_.find(q.view_signature);
-  if (it == synopses_.end()) {
-    auto failed = failed_views_.find(q.view_signature);
-    if (failed != failed_views_.end()) return failed->second;
-    return Status::NotFound("no synopsis published for view '" +
-                            q.view_signature + "'");
+std::vector<Synopsis::BuildStats> ViewManager::BuildStatsList() const {
+  std::vector<Synopsis::BuildStats> out;
+  for (const auto& [sig, twin] : truth_) {
+    (void)sig;
+    out.push_back(twin.stats());
   }
-  if (exact) return it->second.AnswerScalarExact(*q.cell_query, params);
-  return it->second.AnswerScalar(*q.cell_query, params);
+  return out;
 }
 
-Result<double> ViewManager::Answer(const BoundRewrittenQuery& q,
-                                   bool exact) const {
-  ParamMap params;
+namespace {
+
+Result<const Synopsis*> FindSynopsis(const SynopsisMap& synopses,
+                                     const std::string& signature) {
+  auto it = synopses.find(signature);
+  if (it == synopses.end()) {
+    return Status::NotFound("no synopsis published for view '" + signature +
+                            "'");
+  }
+  return &it->second;
+}
+
+}  // namespace
+
+Result<double> AnswerBound(const SynopsisMap& synopses,
+                           const BoundRewrittenQuery& q,
+                           const ParamMap& params) {
+  auto scalar = [&](const BoundQuery& bq,
+                    const ParamMap& bound_params) -> Result<double> {
+    VR_ASSIGN_OR_RETURN(const Synopsis* syn,
+                        FindSynopsis(synopses, bq.view_signature));
+    return syn->AnswerScalar(*bq.cell_query, bound_params);
+  };
+  ParamMap bound_params = params;
   for (const auto& link : q.chain) {
-    VR_ASSIGN_OR_RETURN(double v, AnswerScalar(link.query, params, exact));
-    params[link.var] = Value::Double(v);
+    VR_ASSIGN_OR_RETURN(double v, scalar(link.query, bound_params));
+    bound_params[link.var] = Value::Double(v);
   }
   double total = 0;
   for (const auto& term : q.terms) {
-    VR_ASSIGN_OR_RETURN(double v, AnswerScalar(term.query, params, exact));
+    VR_ASSIGN_OR_RETURN(double v, scalar(term.query, bound_params));
     total += term.coeff * v;
   }
   return total;
 }
 
-std::vector<Synopsis::BuildStats> ViewManager::BuildStatsList() const {
-  std::vector<Synopsis::BuildStats> out;
-  for (const auto& [sig, syn] : synopses_) {
-    (void)sig;
-    out.push_back(syn.stats());
-  }
-  return out;
+Result<aggregate::GroupedData> AnswerBoundGrouped(const SynopsisMap& synopses,
+                                                  const BoundQuery& q,
+                                                  const ParamMap& params) {
+  VR_ASSIGN_OR_RETURN(const Synopsis* syn,
+                      FindSynopsis(synopses, q.view_signature));
+  return syn->AnswerGroupedData(*q.cell_query, params);
 }
 
 }  // namespace viewrewrite

@@ -41,6 +41,26 @@ struct BoundRewrittenQuery {
   std::vector<Term> terms;
 };
 
+/// Synopses by view signature: what a bound query is answered from.
+using SynopsisMap = std::map<std::string, Synopsis>;
+
+/// The one answer path. The engines answer from ViewManager::synopses()
+/// (noisy) and ViewManager::ground_truth() (the benchmark oracle), the
+/// serve layer from a SynopsisStore's synopses — all through these.
+///
+/// Answers a bound rewritten query: chain links evaluate first (each
+/// result binds its $var parameter), then the signed combination.
+Result<double> AnswerBound(const SynopsisMap& synopses,
+                           const BoundRewrittenQuery& q,
+                           const ParamMap& params = {});
+
+/// Row-carrying grouped answer: group keys, per-row counts (the
+/// suppression input) and per-column aggregate flags, with HAVING
+/// evaluated over the per-group aggregates.
+Result<aggregate::GroupedData> AnswerBoundGrouped(const SynopsisMap& synopses,
+                                                  const BoundQuery& q,
+                                                  const ParamMap& params);
+
 /// How the total budget is split across views at publication time.
 /// kUniform is the paper's scheme; kByUsage is the extension the paper
 /// sketches as future work ("optimizing privacy budget allocation
@@ -148,8 +168,9 @@ class ViewManager {
   Status RefundGeneration(const RepublishOutcome& outcome);
 
   /// Views whose synopsis publication failed in a degraded Publish:
-  /// signature -> recorded failure. Answering a query bound to one of
-  /// these views returns that status.
+  /// signature -> recorded failure. These views have no synopsis, so the
+  /// engines quarantine the queries bound to them with that status
+  /// (BindingFailure).
   const std::map<std::string, Status>& failed_views() const {
     return failed_views_;
   }
@@ -164,44 +185,23 @@ class ViewManager {
   /// by view `signature`.
   size_t ViewUsage(const std::string& signature) const;
 
-  /// Answers a bound scalar query from its synopsis. With `exact`, the
-  /// pre-noise cell totals are used (benchmark ground truth).
-  Result<double> AnswerScalar(const BoundQuery& q, const ParamMap& params,
-                              bool exact = false) const;
-
-  /// Answers a full bound rewritten query: chain links first (binding
-  /// parameters), then the signed combination.
-  Result<double> Answer(const BoundRewrittenQuery& q,
-                        bool exact = false) const;
-
-  /// Registers and answers a grouped aggregate in one step: `query` must
-  /// be a rewritten (subquery-free) statement whose GROUP BY columns are
-  /// view attributes. Returns one noisy row per group cell. Call after
-  /// Publish.
-  Result<ResultSet> AnswerGrouped(const BoundQuery& q, const ParamMap& params,
-                                  bool exact = false) const;
-
-  /// Row-carrying grouped answer: group keys, per-row noisy counts (the
-  /// suppression input) and per-column aggregate flags, with HAVING
-  /// evaluated post-noise. The serve layer and the chaos baselines both
-  /// consume this form.
-  Result<aggregate::GroupedData> AnswerGroupedData(const BoundQuery& q,
-                                                   const ParamMap& params,
-                                                   bool exact = false) const;
-
   /// Registration variant for grouped queries: group-by columns become
   /// view attributes alongside the filter columns.
   Result<BoundQuery> RegisterGrouped(const SelectStmt& query,
                                      const BakePredicate& bake);
 
-  /// Per-view build stats after Publish.
+  /// Per-view build stats after Publish, exact statistics included (read
+  /// from the ground-truth twins).
   std::vector<Synopsis::BuildStats> BuildStatsList() const;
 
   /// Published synopses by view signature — the export hook the serve
   /// layer snapshots into a persistable SynopsisStore.
-  const std::map<std::string, Synopsis>& synopses() const {
-    return synopses_;
-  }
+  const SynopsisMap& synopses() const { return synopses_; }
+
+  /// Ground-truth twin of every published synopsis (Synopsis::Build): the
+  /// same grids over the pre-noise totals, replaced together with their
+  /// release. The benchmark oracle; it never leaves this process.
+  const SynopsisMap& ground_truth() const { return truth_; }
 
   const BudgetAccountant* accountant() const { return accountant_.get(); }
 
@@ -235,7 +235,8 @@ class ViewManager {
   std::vector<std::unique_ptr<ViewDef>> views_;
   std::map<std::string, size_t> view_index_;           // signature -> index
   std::map<std::string, size_t> view_usage_;           // signature -> #queries
-  std::map<std::string, Synopsis> synopses_;           // signature -> synopsis
+  SynopsisMap synopses_;                               // signature -> release
+  SynopsisMap truth_;                                  // signature -> twin
   std::map<std::string, Status> failed_views_;         // signature -> failure
   std::map<std::string, uint64_t> view_data_generation_;
   std::map<std::string, uint64_t> view_outdated_since_;

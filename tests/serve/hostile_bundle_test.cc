@@ -38,11 +38,11 @@ void AppendString(std::string* out, const std::string& s) {
   *out += s;
 }
 
-/// The file header of the format version this build reads (2): any other
+/// The file header of the format version this build reads (3): any other
 /// version stops at the version check, before the parsers under test.
 std::string FileHeader() {
   std::string out = "VRSY";
-  AppendU16(&out, 2);  // format version
+  AppendU16(&out, 3);  // format version
   AppendU16(&out, 0);  // reserved
   return out;
 }
@@ -81,16 +81,13 @@ std::string ViewPayloadDeclaringDoubles(uint64_t count) {
   AppendU32(&payload, 0);       // measures
   AppendU32(&payload, 0);       // dimensions
   AppendU64(&payload, 1);       // total cells
-  AppendDouble(&payload, 1.0);  // count noise scale
   AppendU64(&payload, 1);       // build stats: tau
-  AppendDouble(&payload, 0.0);  //   dls
-  AppendU64(&payload, 0);       //   materialized rows
-  AppendU64(&payload, 0);       //   truncated rows
   AppendU64(&payload, 1);       //   cells
   AppendDouble(&payload, 1.0);  //   epsilon
-  AppendU32(&payload, 1);       // noisy measure arrays
+  AppendU32(&payload, 1);       // measure records
   AppendString(&payload, "count");
-  AppendU64(&payload, count);
+  AppendDouble(&payload, 1.0);  //   noise scale
+  AppendU64(&payload, count);   //   cell count
   return payload;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -136,7 +137,8 @@ TEST(StoreRoundTripTest, LoadUnderDriftedSchemaIsRejected) {
 
 TEST(StoreRoundTripTest, VersionOneBundleRefusedAsUnsupported) {
   // A bundle of an older format version is refused by its header, with a
-  // message naming both versions, before any section is parsed.
+  // message naming both versions, before any section is parsed. Version 2
+  // still carried the exact cell arrays and build statistics.
   TpchConfig config;
   config.customers = 20;
   config.parts = 20;
@@ -149,21 +151,76 @@ TEST(StoreRoundTripTest, VersionOneBundleRefusedAsUnsupported) {
   ASSERT_TRUE(store->Save(path).ok());
   ASSERT_TRUE(SynopsisStore::Load(path, db->schema()).ok());
 
-  {
-    // Bytes 4-5 hold the little-endian format version.
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    f.write("\x01\x00", 2);
-    ASSERT_TRUE(f.good());
+  for (const char version : {'\x01', '\x02'}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    {
+      // Bytes 4-5 hold the little-endian format version.
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(4);
+      const char bytes[2] = {version, '\x00'};
+      f.write(bytes, 2);
+      ASSERT_TRUE(f.good());
+    }
+    auto old = SynopsisStore::Load(path, db->schema());
+    ASSERT_FALSE(old.ok());
+    EXPECT_EQ(old.status().code(), StatusCode::kUnsupported) << old.status();
+    EXPECT_NE(old.status().message().find(
+                  "format version " + std::to_string(version)),
+              std::string::npos)
+        << old.status();
+    EXPECT_NE(old.status().message().find("reads version 3"),
+              std::string::npos)
+        << old.status();
   }
-  auto old = SynopsisStore::Load(path, db->schema());
-  ASSERT_FALSE(old.ok());
-  EXPECT_EQ(old.status().code(), StatusCode::kUnsupported) << old.status();
-  EXPECT_NE(old.status().message().find("format version 1"),
-            std::string::npos)
-      << old.status();
-  EXPECT_NE(old.status().message().find("reads version 2"), std::string::npos)
-      << old.status();
+}
+
+TEST(StoreRoundTripTest, BundleCarriesNoExactCells) {
+  // Only DP outputs leave the publishing process: the saved bundle holds
+  // no view's exact count cells, and a loaded synopsis reports none of
+  // the exact build statistics.
+  TpchConfig config;
+  config.customers = 60;
+  config.parts = 40;
+  auto db = GenerateTpch(config);
+  ViewRewriteEngine engine(*db, PrivacyPolicy{"orders"}, EngineOptions{});
+  ASSERT_TRUE(engine.Prepare(SmallWorkload(1, 12)).ok());
+  auto store = SynopsisStore::FromManager(engine.views(), db->schema());
+  ASSERT_TRUE(store.ok()) << store.status();
+  const std::string path = ::testing::TempDir() + "no_exact_bundle.vrsy";
+  ASSERT_TRUE(store->Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bundle((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  auto loaded = SynopsisStore::Load(path, db->schema());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  size_t checked = 0;
+  for (const auto& [sig, release] : engine.views().synopses()) {
+    SCOPED_TRACE(sig);
+    const Synopsis& twin = engine.views().ground_truth().at(sig);
+    EXPECT_GT(twin.stats().materialized_rows, 0u);
+    const Synopsis* served = loaded->Find(sig);
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(served->stats().dls, 0.0);
+    EXPECT_EQ(served->stats().materialized_rows, 0u);
+    EXPECT_EQ(served->stats().truncated_rows, 0u);
+
+    // Without noise the release equals the truth, so only a noised view
+    // can tell the two apart.
+    if (release.ToParts().noise_scales.at("count") == 0) continue;
+    // A twin's parts carry its exact cells; the bundle stores doubles as
+    // little-endian IEEE-754 bit patterns.
+    const SynopsisParts twin_parts = twin.ToParts();
+    std::string exact_bytes;
+    for (double cell : twin_parts.noisy.at("count")) {
+      uint64_t bits;
+      std::memcpy(&bits, &cell, sizeof(bits));
+      for (int i = 0; i < 8; ++i) exact_bytes.push_back(char(bits >> (8 * i)));
+    }
+    EXPECT_EQ(bundle.find(exact_bytes), std::string::npos);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(StoreRoundTripTest, FromManagerWithoutPublishFails) {

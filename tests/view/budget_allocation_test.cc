@@ -107,8 +107,8 @@ TEST_F(BudgetAllocationTest, ByUsageImprovesPopularViewAccuracy) {
                                 by_usage ? BudgetAllocation::kByUsage
                                          : BudgetAllocation::kUniform)
                       .ok());
-      auto noisy = manager_->Answer(last_bound_);
-      auto exact = manager_->Answer(last_bound_, /*exact=*/true);
+      auto noisy = AnswerBound(manager_->synopses(), last_bound_);
+      auto exact = AnswerBound(manager_->ground_truth(), last_bound_);
       ASSERT_TRUE(noisy.ok() && exact.ok());
       double err = std::fabs(*noisy - *exact);
       (by_usage ? usage_err : uniform_err) += err;
@@ -122,8 +122,8 @@ TEST_F(BudgetAllocationTest, RangeQueryMatchesTruthAtHugeBudget) {
            "o.o_totalprice < 192");
   Random rng(3);
   ASSERT_TRUE(manager_->Publish(*db_, 1e9, &rng).ok());
-  auto noisy = manager_->Answer(last_bound_);
-  auto exact = manager_->Answer(last_bound_, /*exact=*/true);
+  auto noisy = AnswerBound(manager_->synopses(), last_bound_);
+  auto exact = AnswerBound(manager_->ground_truth(), last_bound_);
   ASSERT_TRUE(noisy.ok()) << noisy.status();
   ASSERT_TRUE(exact.ok());
   EXPECT_GT(*exact, 0);
@@ -138,8 +138,8 @@ TEST_F(BudgetAllocationTest, DisjointRangesMatchTruthAtHugeBudget) {
            "o.o_totalprice >= 224");
   Random rng(4);
   ASSERT_TRUE(manager_->Publish(*db_, 1e9, &rng).ok());
-  auto noisy = manager_->Answer(last_bound_);
-  auto exact = manager_->Answer(last_bound_, /*exact=*/true);
+  auto noisy = AnswerBound(manager_->synopses(), last_bound_);
+  auto exact = AnswerBound(manager_->ground_truth(), last_bound_);
   ASSERT_TRUE(noisy.ok()) << noisy.status();
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(*noisy, *exact, 1e-3);

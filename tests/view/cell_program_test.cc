@@ -61,16 +61,14 @@ class Case {
     for (const std::string& key : {std::string("count"), SumKey()}) {
       std::vector<double> cells(parts.total_cells);
       for (double& c : cells) c = rng_.UniformDouble(-3.0, 40.0);
-      parts.noisy[key] = cells;
-      parts.exact[key] = std::move(cells);
+      parts.noisy[key] = std::move(cells);
     }
     // The VARIANCE measure draws from its own stream, so every draw above
     // and below stays what it was before it existed.
     Random square_rng(seed ^ 0x5eedull);
     std::vector<double> squares(parts.total_cells);
     for (double& c : squares) c = square_rng.UniformDouble(0.0, 900.0);
-    parts.noisy[SumSqKey()] = squares;
-    parts.exact[SumSqKey()] = std::move(squares);
+    parts.noisy[SumSqKey()] = std::move(squares);
     auto synopsis = Synopsis::FromParts(view_.get(), std::move(parts));
     EXPECT_TRUE(synopsis.ok()) << synopsis.status();
     synopsis_ = std::make_unique<Synopsis>(std::move(synopsis).value());

@@ -2,9 +2,9 @@
 // Publishing one view spends its truncation pivot, its SVT, and one
 // Laplace release per histogram (count first, then each SUM measure).
 // These tests observe the releases at the dp.mechanism fault point,
-// recover their ε from the published noise scale, and require the total
-// to equal the ledger's charge for the view — so a release that is added,
-// doubled or calibrated at the wrong ε fails here.
+// recover each release's ε from the noise scale published with it, and
+// require the total to equal the ledger's charge for the view — so a
+// release that is added, doubled or calibrated at the wrong ε fails here.
 
 #include <gtest/gtest.h>
 
@@ -58,19 +58,26 @@ class EpsilonReconciliationTest : public ::testing::Test {
   }
 
   /// The ε `syn`'s build spent: the truncation pivot and SVT slices of the
-  /// budget it was handed, plus `releases` histogram releases. Build
-  /// calibrates every histogram of a view at one ε (a SUM measure scales
-  /// its sensitivity by the value bound, not its budget), which the count
-  /// release's noise scale gives as τ / scale.
+  /// budget it was handed, plus each histogram release's ε, recovered from
+  /// that release's own noise scale as sensitivity / scale. The count's
+  /// sensitivity is τ; a SUM measure's is τ times its value bound.
   static double Spent(const Synopsis& syn, uint64_t releases) {
     const SynopsisOptions options;
     const Synopsis::BuildStats& stats = syn.stats();
-    const double scale = syn.ToParts().count_noise_scale;
-    EXPECT_GT(scale, 0) << "an insensitive view spends no noise";
-    const double eps_release = static_cast<double>(stats.tau) / scale;
-    return stats.epsilon * options.trunc_pivot_frac +
-           stats.epsilon * options.trunc_svt_frac +
-           static_cast<double>(releases) * eps_release;
+    const SynopsisParts parts = syn.ToParts();
+    EXPECT_EQ(parts.noise_scales.size(), releases) << "one scale per release";
+    double spent = stats.epsilon * options.trunc_pivot_frac +
+                   stats.epsilon * options.trunc_svt_frac;
+    for (const auto& [key, scale] : parts.noise_scales) {
+      EXPECT_GT(scale, 0) << key << ": an insensitive view spends no noise";
+      double sensitivity = static_cast<double>(stats.tau);
+      const int measure = syn.view().MeasureIndex(key);
+      if (measure >= 0) {
+        sensitivity *= syn.view().measures()[measure].value_bound;
+      }
+      spent += sensitivity / scale;
+    }
+    return spent;
   }
 
   /// Counts dp.mechanism hits while armed; never fires.

@@ -36,6 +36,15 @@ class GroupedTest : public ::testing::Test {
     return bound.ok() ? std::move(bound).value() : BoundQuery{};
   }
 
+  /// Flattened grouped answer from `synopses`: the manager's release or
+  /// its ground-truth twin.
+  static Result<ResultSet> AnswerGrouped(const SynopsisMap& synopses,
+                                         const BoundQuery& bound) {
+    VR_ASSIGN_OR_RETURN(aggregate::GroupedData data,
+                        AnswerBoundGrouped(synopses, bound, {}));
+    return data.ToResultSet();
+  }
+
   void Publish(uint64_t seed = 11, double eps = kHugeEpsilon) {
     Random rng(seed);
     Status st = manager_->Publish(*db_, eps, &rng);
@@ -51,7 +60,7 @@ TEST_F(GroupedTest, CountByCategoricalMatchesExecutor) {
   BoundQuery bound = MustRegisterGrouped(
       "SELECT o_status, COUNT(*) FROM orders o GROUP BY o_status");
   Publish();
-  auto rs = manager_->AnswerGrouped(bound, {});
+  auto rs = AnswerGrouped(manager_->synopses(), bound);
   ASSERT_TRUE(rs.ok()) << rs.status();
   // One row per category in the registered domain ('f','o','p').
   ASSERT_EQ(rs->NumRows(), 3u);
@@ -79,7 +88,7 @@ TEST_F(GroupedTest, FilteredGroupedCount) {
       "SELECT o_status, COUNT(*) FROM orders o WHERE o.o_totalprice >= 128 "
       "GROUP BY o_status");
   Publish();
-  auto rs = manager_->AnswerGrouped(bound, {});
+  auto rs = AnswerGrouped(manager_->synopses(), bound);
   ASSERT_TRUE(rs.ok()) << rs.status();
   Executor executor(*db_);
   double total = 0;
@@ -96,7 +105,7 @@ TEST_F(GroupedTest, GroupedSumMeasure) {
       "SELECT o_status, SUM(o_totalprice) FROM orders o GROUP BY "
       "o_status");
   Publish();
-  auto rs = manager_->AnswerGrouped(bound, {});
+  auto rs = AnswerGrouped(manager_->synopses(), bound);
   ASSERT_TRUE(rs.ok()) << rs.status();
   Executor executor(*db_);
   auto truth_stmt = ParseSelect(
@@ -112,7 +121,7 @@ TEST_F(GroupedTest, BucketGroupKeysUseRepresentatives) {
   BoundQuery bound = MustRegisterGrouped(
       "SELECT c_acctbal, COUNT(*) FROM customer c GROUP BY c_acctbal");
   Publish();
-  auto rs = manager_->AnswerGrouped(bound, {});
+  auto rs = AnswerGrouped(manager_->synopses(), bound);
   ASSERT_TRUE(rs.ok()) << rs.status();
   // 16 buckets over [0,63].
   EXPECT_EQ(rs->NumRows(), 16u);
@@ -125,8 +134,8 @@ TEST_F(GroupedTest, NoisyGroupsStillSumToNoisyTotal) {
   BoundQuery bound = MustRegisterGrouped(
       "SELECT o_status, COUNT(*) FROM orders o GROUP BY o_status");
   Publish(/*seed=*/3, /*eps=*/1.0);
-  auto noisy = manager_->AnswerGrouped(bound, {});
-  auto exact = manager_->AnswerGrouped(bound, {}, /*exact=*/true);
+  auto noisy = AnswerGrouped(manager_->synopses(), bound);
+  auto exact = AnswerGrouped(manager_->ground_truth(), bound);
   ASSERT_TRUE(noisy.ok() && exact.ok());
   ASSERT_EQ(noisy->NumRows(), exact->NumRows());
   bool any_noise = false;
@@ -165,8 +174,8 @@ TEST_F(GroupedTest, HavingRegistersAndFiltersPostNoise) {
   auto filtered = manager_->RegisterGrouped(**stmt, nullptr);
   ASSERT_TRUE(filtered.ok()) << filtered.status();
   Publish();
-  auto rs_all = manager_->AnswerGrouped(all, {});
-  auto rs_filtered = manager_->AnswerGrouped(*filtered, {});
+  auto rs_all = AnswerGrouped(manager_->synopses(), all);
+  auto rs_filtered = AnswerGrouped(manager_->synopses(), *filtered);
   ASSERT_TRUE(rs_all.ok()) << rs_all.status();
   ASSERT_TRUE(rs_filtered.ok()) << rs_filtered.status();
   EXPECT_LE(rs_filtered->NumRows(), rs_all->NumRows());

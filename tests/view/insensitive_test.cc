@@ -30,8 +30,8 @@ class InsensitiveViewTest : public ::testing::Test {
     Random rng(seed);
     Status st = manager.Publish(*db_, /*eps=*/0.01, &rng);
     EXPECT_TRUE(st.ok()) << st;
-    auto noisy = manager.Answer(*bound);
-    auto exact = manager.Answer(*bound, /*exact=*/true);
+    auto noisy = AnswerBound(manager.synopses(), *bound);
+    auto exact = AnswerBound(manager.ground_truth(), *bound);
     EXPECT_TRUE(noisy.ok() && exact.ok());
     return std::fabs(*noisy - *exact);
   }

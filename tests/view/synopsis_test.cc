@@ -35,7 +35,7 @@ class SynopsisTest : public ::testing::Test {
     Random rng(seed);
     Status pub = manager.Publish(*db_, epsilon, &rng);
     EXPECT_TRUE(pub.ok()) << pub.ToString();
-    auto ans = manager.Answer(*bound);
+    auto ans = AnswerBound(manager.synopses(), *bound);
     EXPECT_TRUE(ans.ok()) << ans.status();
     return ans.ok() ? *ans : -1e18;
   }
@@ -129,7 +129,7 @@ TEST_F(SynopsisTest, SelfJoinExtremumReadsTheAggregatedAlias) {
   ASSERT_TRUE(bound.ok()) << bound.status();
   Random rng(9);
   ASSERT_TRUE(manager.Publish(*db_, kHugeEpsilon, &rng).ok());
-  auto got = manager.Answer(*bound, /*exact=*/true);
+  auto got = AnswerBound(manager.ground_truth(), *bound);
   ASSERT_TRUE(got.ok()) << got.status();
   // The answer is the midpoint of the 16-wide price bucket holding the
   // true maximum, which lies far above the o-side filter.
