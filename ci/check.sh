@@ -5,7 +5,7 @@
 #   SKIP_SANITIZE=1 ci/check.sh   # tier-1 + chaos smoke only
 #   SKIP_CHAOS=1 ci/check.sh      # skip the chaos soak binaries
 #   SKIP_FUZZ=1 ci/check.sh       # skip the time-boxed fuzz smoke
-#   SKIP_BENCH=1 ci/check.sh      # skip the serve/answer bench regeneration checks
+#   SKIP_BENCH=1 ci/check.sh      # skip the answer bench regeneration check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,50 +38,13 @@ if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
 
   echo "== overload soak: ${CHAOS_SEEDS} fixed seeds (default build) =="
   # Open-loop 2x-10x overload against the serve path: no congestion
-  # collapse, typed fast sheds, bounded drain, no priority inversion.
+  # collapse, typed fast sheds, bounded drain, no priority inversion; then
+  # the cross-seed gates (median 4x and 10x goodput >= 0.7 of peak,
+  # admission-shed p99 < 1ms), which sanitizer builds skip.
   timeout "${CHAOS_TIMEOUT}" ./build/bench/overload_soak "${CHAOS_SEEDS}" 1
 fi
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
-  echo "== serve bench: regenerate and check against committed BENCH_serve.json =="
-  # Regenerates BENCH_serve.json in build/bench and checks (a) the schema
-  # matches the committed file and (b) the coalescing claim holds on this
-  # machine: the committed duplicate-heavy speedup must be >= 2x and the
-  # fresh run must still show a gain (> 1x; absolute qps is hardware-bound
-  # but "coalescing wins on duplicate-heavy traffic" must reproduce).
-  (cd build/bench && ./serve_throughput > /dev/null)
-  for key in '"duplicate_heavy"' '"coalesce_speedup"' '"batch_speedup"' \
-             '"cache_speedup"' '"max_flight_group"' '"modes"' '"runs"' \
-             '"overload"' '"capacity_qps"' '"goodput_4x_ratio"' \
-             '"goodput_10x_ratio"' '"shed_p99_ms"' '"phases"'; do
-    grep -q "${key}" BENCH_serve.json ||
-      { echo "committed BENCH_serve.json missing ${key}"; exit 1; }
-    grep -q "${key}" build/bench/BENCH_serve.json ||
-      { echo "regenerated BENCH_serve.json missing ${key}"; exit 1; }
-  done
-  committed_speedup="$(grep -o '"coalesce_speedup": [0-9.]*' BENCH_serve.json | grep -o '[0-9.]*$')"
-  fresh_speedup="$(grep -o '"coalesce_speedup": [0-9.]*' build/bench/BENCH_serve.json | grep -o '[0-9.]*$')"
-  awk -v c="${committed_speedup}" 'BEGIN { exit !(c >= 2.0) }' ||
-    { echo "committed coalesce_speedup ${committed_speedup} < 2.0"; exit 1; }
-  awk -v f="${fresh_speedup}" 'BEGIN { exit !(f > 1.0) }' ||
-    { echo "regenerated coalesce_speedup ${fresh_speedup} <= 1.0"; exit 1; }
-  echo "coalesce_speedup: committed ${committed_speedup}, regenerated ${fresh_speedup}"
-
-  # No-congestion-collapse gate on the committed baseline: goodput at 4x
-  # and 10x offered load must hold >= 0.7x of the peak phase, and typed
-  # sheds must resolve in under a millisecond (the regenerated file is
-  # hardware-bound and only schema-checked above).
-  committed_4x="$(grep -o '"goodput_4x_ratio": [0-9.]*' BENCH_serve.json | grep -o '[0-9.]*$')"
-  committed_10x="$(grep -o '"goodput_10x_ratio": [0-9.]*' BENCH_serve.json | grep -o '[0-9.]*$')"
-  committed_shed_p99="$(grep -o '"shed_p99_ms": [0-9.]*' BENCH_serve.json | head -1 | grep -o '[0-9.]*$')"
-  awk -v r="${committed_4x}" 'BEGIN { exit !(r >= 0.7) }' ||
-    { echo "committed goodput_4x_ratio ${committed_4x} < 0.7 (congestion collapse)"; exit 1; }
-  awk -v r="${committed_10x}" 'BEGIN { exit !(r >= 0.7) }' ||
-    { echo "committed goodput_10x_ratio ${committed_10x} < 0.7 (congestion collapse)"; exit 1; }
-  awk -v p="${committed_shed_p99}" 'BEGIN { exit !(p < 1.0) }' ||
-    { echo "committed overload shed_p99_ms ${committed_shed_p99} >= 1.0"; exit 1; }
-  echo "overload gates: 4x ${committed_4x}, 10x ${committed_10x}, shed_p99 ${committed_shed_p99}ms"
-
   echo "== answer bench: regenerate and check against committed BENCH_answer.json =="
   # The micro_benchmarks main always emits BENCH_answer.json after the
   # google-benchmark run; an impossible filter skips the BM loop so only

@@ -356,8 +356,11 @@ Status ReadMeasures(Reader* r, SynopsisParts* parts) {
     VR_ASSIGN_OR_RETURN(std::string key, r->String());
     VR_ASSIGN_OR_RETURN(double scale, r->Double());
     VR_ASSIGN_OR_RETURN(std::vector<double> cells, r->Doubles());
-    parts->noise_scales.emplace(key, scale);
-    parts->noisy.emplace(std::move(key), std::move(cells));
+    if (!parts->noisy.try_emplace(key, std::move(cells)).second) {
+      return Status::Corruption("view section repeats measure key '" + key +
+                                "'");
+    }
+    parts->noise_scales.emplace(std::move(key), scale);
   }
   return Status::OK();
 }

@@ -36,8 +36,9 @@
 // The run is fault-free: everything observed is genuine queueing, not an
 // injected failure. Determinism caveat: wall-clock capacity and per-phase
 // counts vary with the machine; the checked bounds are chosen to hold on
-// a loaded single-core CI box, while the strict performance gates live in
-// the committed BENCH_serve.json (see bench/serve_throughput.cc).
+// a loaded single-core CI box. The strict performance gates (4x and 10x
+// goodput >= 0.7 of peak, admission-shed p99 < 1ms) are judged across
+// seeds by bench/overload_soak.cc.
 
 #include <algorithm>
 #include <chrono>
@@ -234,12 +235,13 @@ inline OverloadRunResult RunOverloadSeed(uint64_t seed,
   // finished, so every worker has work without a queue building up. One
   // submitter alone would measure a single worker slowed by two thread
   // hand-offs per request, under-measuring the server several-fold; the
-  // "overloaded" 2x phase would then fall below capacity.
+  // "overloaded" 2x phase would then fall below capacity. Returns the
+  // number of answered requests.
   const size_t submitters = std::max<size_t>(1, config.num_threads);
-  std::vector<uint64_t> calib_issued(submitters, 0);
-  std::vector<uint64_t> calib_answered(submitters, 0);
-  std::vector<std::string> calib_errors(submitters);
-  {
+  auto calibrate = [&]() -> uint64_t {
+    std::vector<uint64_t> calib_issued(submitters, 0);
+    std::vector<uint64_t> calib_answered(submitters, 0);
+    std::vector<std::string> calib_errors(submitters);
     const Clock::time_point until = Clock::now() + config.calibration;
     std::vector<std::thread> threads;
     for (size_t t = 0; t < submitters; ++t) {
@@ -262,13 +264,21 @@ inline OverloadRunResult RunOverloadSeed(uint64_t seed,
       });
     }
     for (std::thread& thread : threads) thread.join();
-  }
-  uint64_t calib_done = 0;
-  for (size_t t = 0; t < submitters; ++t) {
-    issued_total += calib_issued[t];
-    calib_done += calib_answered[t];
-    if (!calib_errors[t].empty()) violate(calib_errors[t]);
-  }
+    uint64_t answered = 0;
+    for (size_t t = 0; t < submitters; ++t) {
+      issued_total += calib_issued[t];
+      answered += calib_answered[t];
+      if (!calib_errors[t].empty()) violate(calib_errors[t]);
+    }
+    return answered;
+  };
+  // A first, discarded pass warms the server (worker threads, template
+  // cache, allocator) so the measured pass does not under-read capacity
+  // on a cold start; an under-read capacity makes every phase offer less
+  // than its nominal factor.
+  calibrate();
+  if (!result.violations.empty()) return result;
+  const uint64_t calib_done = calibrate();
   if (!result.violations.empty()) return result;
   result.capacity_qps =
       static_cast<double>(calib_done) /

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -306,22 +307,55 @@ TEST_F(CoalescingTest, PropertyCoalescedAnswersEqualUncoalesced) {
 }
 
 TEST_F(CoalescingTest, DisablingCoalescingComputesEveryRequest) {
-  ServeOptions options = WindowOptions();
-  options.enable_coalescing = false;
-  QueryServer server(ctx_.store, ctx_.db->schema(), options);
-
+  // The same duplicate flood, cache off, against a coalescing-off and a
+  // coalescing-on server. The on server's leader is held at its answer
+  // point, so the duplicates overlap its flight and must join it. The
+  // flight count is what coalescing saves: off computes every request,
+  // on computes one.
   constexpr size_t kRequests = 8;
-  std::vector<std::future<Result<ServedAnswer>>> futures;
-  for (size_t i = 0; i < kRequests; ++i) {
-    futures.push_back(server.Submit(ctx_.workload[0]));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  auto flood = [&](bool coalesce) {
+    ServeOptions options = WindowOptions();
+    options.enable_coalescing = coalesce;
+    QueryServer server(ctx_.store, ctx_.db->schema(), options);
+    std::optional<ScopedFault> hold;
+    if (coalesce) hold.emplace(HoldFirstAnswer(milliseconds(600)));
 
-  // No cache and no coalescing: every request is its own flight.
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.flights, kRequests);
-  EXPECT_EQ(stats.coalesced_waiters, 0u);
-  EXPECT_EQ(stats.max_flight_group, 1u);
+    std::vector<std::future<Result<ServedAnswer>>> futures;
+    futures.push_back(server.Submit(ctx_.workload[0]));
+    if (coalesce) {
+      EXPECT_TRUE(SpinUntil([] {
+        return FaultInjection::Instance().HitCount(faults::kServeAnswer) >= 1;
+      }));
+    }
+    for (size_t i = 1; i < kRequests; ++i) {
+      futures.push_back(server.Submit(ctx_.workload[0]));
+    }
+    if (coalesce) {
+      EXPECT_TRUE(SpinUntil([&] {
+        return server.stats().coalesced_waiters >= kRequests - 1;
+      })) << "duplicates did not join the held flight";
+    }
+    for (auto& f : futures) {
+      Result<ServedAnswer> got = f.get();
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (got.ok()) {
+        EXPECT_EQ(got->value, ctx_.Expected(0));
+      }
+    }
+    return server.stats();
+  };
+
+  const ServeStats off = flood(false);
+  EXPECT_EQ(off.flights, kRequests);
+  EXPECT_EQ(off.coalesced_waiters, 0u);
+  EXPECT_EQ(off.max_flight_group, 1u);
+
+  const ServeStats on = flood(true);
+  EXPECT_EQ(on.flights, 1u);
+  EXPECT_EQ(on.coalesced_waiters, kRequests - 1);
+  EXPECT_EQ(on.max_flight_group, kRequests);
+
+  EXPECT_GE(off.flights, 2 * on.flights);
 }
 
 // The context workload already gives its view the o_status attribute and

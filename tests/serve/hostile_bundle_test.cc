@@ -71,9 +71,9 @@ std::string BundleThroughHeaderSection() {
   return bundle;
 }
 
-/// A view section payload that parses up to its noisy count array, whose
-/// declared element count is `count`.
-std::string ViewPayloadDeclaringDoubles(uint64_t count) {
+/// A view section payload that parses up to its measure records, of
+/// which it declares `records`; the caller appends them.
+std::string ViewPayloadPrefix(uint32_t records) {
   std::string payload;
   AppendString(&payload, "v");
   AppendString(&payload, "SELECT count(*) FROM orders o");
@@ -84,7 +84,14 @@ std::string ViewPayloadDeclaringDoubles(uint64_t count) {
   AppendU64(&payload, 1);       // build stats: tau
   AppendU64(&payload, 1);       //   cells
   AppendDouble(&payload, 1.0);  //   epsilon
-  AppendU32(&payload, 1);       // measure records
+  AppendU32(&payload, records);  // measure records
+  return payload;
+}
+
+/// A view section payload that parses up to its noisy count array, whose
+/// declared element count is `count`.
+std::string ViewPayloadDeclaringDoubles(uint64_t count) {
+  std::string payload = ViewPayloadPrefix(1);
   AppendString(&payload, "count");
   AppendDouble(&payload, 1.0);  //   noise scale
   AppendU64(&payload, count);   //   cell count
@@ -130,6 +137,28 @@ TEST(HostileBundleTest, ElementCountWhoseByteSizeWrapsUint64Refused) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
   EXPECT_NE(st.message().find("declares 2305843009213693952 elements"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(HostileBundleTest, RepeatedMeasureKeyRefused) {
+  // An otherwise complete bundle whose one view carries two well-formed
+  // records for the same measure: loading either one would silently drop
+  // the other's cells.
+  std::string payload = ViewPayloadPrefix(2);
+  for (double cell : {5.0, 7.0}) {
+    AppendString(&payload, "count");
+    AppendDouble(&payload, 1.0);  // noise scale
+    AppendU64(&payload, 1);       // cell count
+    AppendDouble(&payload, cell);
+  }
+  std::string bundle = BundleThroughHeaderSection();
+  AppendSection(&bundle, 'V', payload);
+  AppendSection(&bundle, 'E', "");
+  Status st = LoadStatus(WriteBundle("repeated_measure.vrsy", bundle));
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("repeats measure key 'count'"),
             std::string::npos)
       << st.ToString();
 }

@@ -133,6 +133,17 @@ class PriorityServeTest : public ::testing::Test {
   }
   void TearDown() override { FaultInjection::Instance().DisableAll(); }
 
+  /// Waits, bounded, until the single worker is parked at the held
+  /// answer point: it has dequeued its request, so the queue slot is free.
+  static bool WorkerParkedAtAnswer() {
+    const auto until = std::chrono::steady_clock::now() + milliseconds(10000);
+    while (FaultInjection::Instance().HitCount(faults::kServeAnswer) < 1) {
+      if (std::chrono::steady_clock::now() >= until) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+  }
+
   serve_testing::ServeContext ctx_;
 };
 
@@ -151,9 +162,7 @@ TEST_F(PriorityServeTest, InteractiveDisplacesQueuedBackgroundWhenFull) {
     ScopedFault hold =
         ScopedFault::DelayOnNth(faults::kServeAnswer, 1, milliseconds(200));
     slow = server.Submit(ctx_.workload[0]);
-    // Let the worker dequeue it and enter the delay, freeing the single
-    // queue slot.
-    std::this_thread::sleep_for(milliseconds(30));
+    ASSERT_TRUE(WorkerParkedAtAnswer());
 
     background = server.Submit(ctx_.workload[1], {}, nanoseconds(0),
                                Priority::kBackground);
@@ -202,7 +211,7 @@ TEST_F(PriorityServeTest, NoVictimMeansQueueFullStaysUnavailable) {
     ScopedFault hold =
         ScopedFault::DelayOnNth(faults::kServeAnswer, 1, milliseconds(200));
     slow = server.Submit(ctx_.workload[0]);
-    std::this_thread::sleep_for(milliseconds(30));
+    ASSERT_TRUE(WorkerParkedAtAnswer());
 
     // The slot holds an interactive request; a background arrival
     // outranks nothing, so it is refused with the queue-full error, and
