@@ -764,10 +764,30 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
                                      options_.outdated_ttl_generations);
       grouped = IsGroupedAnswer(literal_bound);
     }
-    if (!grouped) return snap.store->Answer(*bound, *answer_params);
+    // The answer-stage counters time the answer call alone.
+    auto timed = [&](ServeCounter calls, ServeCounter nanos, auto&& call) {
+      const auto start = std::chrono::steady_clock::now();
+      auto result = call();
+      counters_.Add(calls);
+      counters_.Add(nanos, static_cast<uint64_t>(
+                               std::chrono::duration_cast<
+                                   std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count()));
+      return result;
+    };
+    if (!grouped) {
+      return timed(ServeCounter::kAnswerScalarCalls,
+                   ServeCounter::kAnswerScalarNanos,
+                   [&] { return snap.store->Answer(*bound, *answer_params); });
+    }
     VR_ASSIGN_OR_RETURN(
         aggregate::GroupedData data,
-        snap.store->AnswerGrouped(bound->terms[0].query, *answer_params));
+        timed(ServeCounter::kAnswerGroupedCalls,
+              ServeCounter::kAnswerGroupedNanos, [&] {
+                return snap.store->AnswerGrouped(bound->terms[0].query,
+                                                 *answer_params);
+              }));
     const size_t suppressed = aggregate::ApplySuppression(
         aggregate::SuppressionPolicy{options_.min_group_count}, &data);
     counters_.Add(ServeCounter::kGroupedQueries);
@@ -995,6 +1015,10 @@ ServeStats QueryServer::stats() const {
   }
   s.answer_seconds =
       static_cast<double>(counters_.Total(ServeCounter::kAnswerNanos)) * 1e-9;
+  s.answer_scalar_calls = counters_.Total(ServeCounter::kAnswerScalarCalls);
+  s.answer_scalar_nanos = counters_.Total(ServeCounter::kAnswerScalarNanos);
+  s.answer_grouped_calls = counters_.Total(ServeCounter::kAnswerGroupedCalls);
+  s.answer_grouped_nanos = counters_.Total(ServeCounter::kAnswerGroupedNanos);
   return s;
 }
 

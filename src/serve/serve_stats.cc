@@ -51,6 +51,17 @@ std::ostream& operator<<(std::ostream& os, const ServeStats& s) {
   os << " | templates: hits=" << s.template_hits
      << " pins=" << s.template_pins;
   os << " | answer_seconds=" << s.answer_seconds;
+  auto mean_us = [](uint64_t nanos, uint64_t calls) {
+    return calls == 0 ? 0.0
+                      : static_cast<double>(nanos) * 1e-3 /
+                            static_cast<double>(calls);
+  };
+  os << " | answer_stage: scalar_calls=" << s.answer_scalar_calls
+     << " scalar_nanos=" << s.answer_scalar_nanos << " (mean "
+     << mean_us(s.answer_scalar_nanos, s.answer_scalar_calls) << " us)"
+     << " grouped_calls=" << s.answer_grouped_calls
+     << " grouped_nanos=" << s.answer_grouped_nanos << " (mean "
+     << mean_us(s.answer_grouped_nanos, s.answer_grouped_calls) << " us)";
   return os;
 }
 

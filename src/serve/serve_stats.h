@@ -127,6 +127,16 @@ struct ServeStats {
   /// Total wall time spent answering across workers (sums over threads, so
   /// it can exceed elapsed time under concurrency).
   double answer_seconds = 0;
+
+  // ---- Answer stage: the synopsis answer call alone. -----------------------
+  // answer_seconds above times a whole computation (shape scan, template
+  // lookup or parse/rewrite/bind, cache probes); these time only the call
+  // that answers a bound query from the stored cells, counted whether it
+  // succeeds or fails. Scalar and grouped answers are kept apart.
+  uint64_t answer_scalar_calls = 0;
+  uint64_t answer_scalar_nanos = 0;
+  uint64_t answer_grouped_calls = 0;
+  uint64_t answer_grouped_nanos = 0;
 };
 
 std::ostream& operator<<(std::ostream& os, const ServeStats& s);
@@ -164,6 +174,10 @@ enum class ServeCounter : size_t {
   kBrownoutServed,
   kTemplateHits,
   kTemplatePins,
+  kAnswerScalarCalls,
+  kAnswerScalarNanos,
+  kAnswerGroupedCalls,
+  kAnswerGroupedNanos,
   kNumCounters,  // sentinel
 };
 

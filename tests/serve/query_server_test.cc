@@ -221,6 +221,46 @@ TEST_F(QueryServerTest, UnmatchableQueryGetsTypedStatusAndNoCrash) {
   EXPECT_EQ(stats.completed, 0u);
 }
 
+TEST_F(QueryServerTest, AnswerStageCountersTimeOnlyAnswerCalls) {
+  QueryServer server(*store_, db_->schema(), ServeOptions{});
+  ServeStats before = server.stats();
+  EXPECT_EQ(before.answer_scalar_calls, 0u);
+  EXPECT_EQ(before.answer_grouped_calls, 0u);
+
+  // One scalar computation advances only the scalar pair.
+  auto scalar = server.Answer((*workload_)[0]);
+  ASSERT_TRUE(scalar.ok()) << scalar.status();
+  ServeStats after_scalar = server.stats();
+  EXPECT_EQ(after_scalar.answer_scalar_calls, 1u);
+  EXPECT_GT(after_scalar.answer_scalar_nanos, 0u);
+  EXPECT_EQ(after_scalar.answer_grouped_calls, 0u);
+  EXPECT_EQ(after_scalar.answer_grouped_nanos, 0u);
+
+  // One grouped computation advances only the grouped pair.
+  auto grouped = server.Answer(
+      "SELECT o.o_status, COUNT(*) FROM orders o GROUP BY o.o_status");
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  ASSERT_NE(grouped->rows, nullptr);
+  ServeStats after_grouped = server.stats();
+  EXPECT_EQ(after_grouped.answer_scalar_calls, 1u);
+  EXPECT_EQ(after_grouped.answer_scalar_nanos,
+            after_scalar.answer_scalar_nanos);
+  EXPECT_EQ(after_grouped.answer_grouped_calls, 1u);
+  EXPECT_GT(after_grouped.answer_grouped_nanos, 0u);
+
+  // A raw-cache hit answers without an answer call.
+  auto again = server.Answer((*workload_)[0]);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->value, scalar->value);
+  ServeStats after_hit = server.stats();
+  EXPECT_EQ(after_hit.cache_short_circuits, 1u);
+  EXPECT_EQ(after_hit.answer_scalar_calls, 1u);
+  EXPECT_EQ(after_hit.answer_scalar_nanos, after_grouped.answer_scalar_nanos);
+  EXPECT_EQ(after_hit.answer_grouped_calls, 1u);
+  EXPECT_EQ(after_hit.answer_grouped_nanos,
+            after_grouped.answer_grouped_nanos);
+}
+
 TEST_F(QueryServerTest, FullQueueRejectsWithUnavailable) {
   ServeOptions options;
   options.num_threads = 1;
