@@ -163,18 +163,19 @@ cmake --build build-tsan -j "$(nproc)" --target \
   coalescing_test batch_submit_test stats_shard_test \
   overload_limiter_test priority_queue_test \
   adversarial_test admission_test corpus_replay_test \
-  grouped_serve_test template_cache_test
+  grouped_serve_test template_cache_test cell_program_test
 
 echo "== tsan: ctest (concurrent serving layer) =="
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-  --output-junit ctest-tsan.xml -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority|Template|QueryShape')
+  --output-junit ctest-tsan.xml -R 'QueryServer|AnswerCache|ShutdownRace|Reload|Resilience|Deadline|Budget|BudgetWal|KillNine|Durability|Republisher|Coalescing|BatchSubmit|StatsShard|Adversarial|Admission|CorpusReplay|GroupedServe|AdaptiveLimiter|Overload|Priority|Template|QueryShape|SharedPlan')
 
 echo "== tsan: ordering-sensitive serve tests, each repeated until it fails (3 runs) =="
-# These suites order concurrent requests around held fault points; a
+# These suites order concurrent requests around held fault points, or
+# share one compiled template or cell plan across threads; a
 # scheduling-dependent ordering shows up as an intermittent failure.
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
   --repeat until-fail:3 --output-junit ctest-tsan-repeat.xml \
-  -R 'Coalescing|Deadline|Resilience|Template')
+  -R 'Coalescing|Deadline|Resilience|Template|SharedPlan')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== tsan: chaos soak (reduced seeds) =="

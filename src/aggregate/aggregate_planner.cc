@@ -117,19 +117,12 @@ Result<Value> EvalImpl(const Expr& expr, const EvalContext& ctx) {
       return static_cast<const LiteralExpr&>(expr).value;
     case ExprKind::kParam: {
       const auto& p = static_cast<const ParamExpr&>(expr);
-      if (ctx.params != nullptr) {
-        auto it = ctx.params->find(p.name);
-        if (it != ctx.params->end()) return it->second;
-      }
+      if (const Value* v = ctx.Param(p)) return *v;
       return Status::NotFound("unbound parameter '$" + p.name + "'");
     }
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
-      if (ctx.columns != nullptr) {
-        auto it = ctx.columns->find(ref.FullName());
-        if (it == ctx.columns->end()) it = ctx.columns->find(ref.column);
-        if (it != ctx.columns->end()) return it->second;
-      }
+      if (const Value* v = ctx.Column(ref)) return *v;
       return Status::ExecutionError("column not available in aggregate "
                                     "context: " +
                                     ref.FullName());
@@ -140,9 +133,8 @@ Result<Value> EvalImpl(const Expr& expr, const EvalContext& ctx) {
         return Status::Unsupported("scalar function in aggregate context: " +
                                    call.name);
       }
-      if (ctx.aggregates != nullptr) {
-        auto it = ctx.aggregates->find(ToSql(call));
-        if (it != ctx.aggregates->end()) return Value::Double(it->second);
+      if (std::optional<double> v = ctx.Aggregate(call)) {
+        return Value::Double(*v);
       }
       return Status::ExecutionError("aggregate not answered for this group: " +
                                     ToSql(call));

@@ -18,7 +18,7 @@
 // answer time (to combine the published measures), so the two sides can
 // never disagree about what a derived aggregate needs.
 
-#include <map>
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -62,21 +62,21 @@ Result<AggregatePlan> PlanAggregate(const FuncCallExpr& agg);
 double EvaluateDerived(Derivation derivation, double count, double sum,
                        double sumsq);
 
-/// Context for evaluating select-item and HAVING expressions over a
-/// (possibly grouped) answer: noisy aggregate readings keyed by the
-/// canonical SQL of the aggregate call, the group-key column values
-/// (empty for scalar answers), and the query's $param bindings (so a
-/// template's `HAVING COUNT(*) >= $1` evaluates).
-struct EvalContext {
-  const std::map<std::string, double>* aggregates = nullptr;
-  // Keyed by both "t.c" and bare "c" for each group column.
-  const std::map<std::string, Value>* columns = nullptr;
-  const std::map<std::string, Value>* params = nullptr;
+/// What a select-item or HAVING expression over a (possibly grouped)
+/// answer reads: the noisy reading of each aggregate call, the group-key
+/// column values (none for scalar answers) and the query's $param bindings
+/// (so a template's `HAVING COUNT(*) >= $1` evaluates). Each lookup
+/// returns nullopt / nullptr when it has no value.
+class EvalContext {
+ public:
+  virtual ~EvalContext() = default;
+  virtual std::optional<double> Aggregate(const FuncCallExpr& call) const = 0;
+  virtual const Value* Column(const ColumnRefExpr& ref) const = 0;
+  virtual const Value* Param(const ParamExpr& param) const = 0;
 };
 
 /// Evaluates an expression over noisy aggregates and group keys:
-/// literals, bound $params, group-column refs, aggregate calls (by
-/// canonical SQL),
+/// literals, bound $params, group-column refs, aggregate calls,
 /// +-*/ arithmetic (division by zero is ExecutionError), comparisons,
 /// AND/OR/NOT with SQL three-valued logic (booleans are Int 0/1, NULL
 /// propagates). Anything else is Unsupported.

@@ -736,8 +736,9 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
   // the identical filtered row set; the scalar `value` of a grouped
   // answer is its row count.
   //
-  // A template answers with its lifted values bound to `$1 … $n` next to
-  // the request's own parameters (no SQL text can name a numeric
+  // A template answers from its compiled plan with its lifted values
+  // bound by position to `$1 … $n`, and every other slot bound by name
+  // from the request's own parameters (no SQL text can name a numeric
   // parameter, so the two never collide).
   bool outdated = false;
   std::shared_ptr<const aggregate::GroupedData> rows;
@@ -745,24 +746,29 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     VR_FAULT_POINT(faults::kServeAnswer);
     BoundRewrittenQuery literal_bound;
     const BoundRewrittenQuery* bound = nullptr;
-    ParamMap template_params;
-    const ParamMap* answer_params = &params;
     bool grouped = false;
     if (tmpl != nullptr) {
       bound = &tmpl->bound;
       outdated = tmpl->outdated;
       grouped = tmpl->grouped;
-      template_params = params;
-      for (size_t k = 0; k < shape.params.size(); ++k) {
-        template_params[std::to_string(k + 1)] = shape.params[k];
-      }
-      answer_params = &template_params;
     } else {
       VR_ASSIGN_OR_RETURN(literal_bound, snap.store->Bind(*literal, nullptr));
       bound = &literal_bound;
       outdated = TouchesOutdatedView(*snap.store, literal_bound,
                                      options_.outdated_ttl_generations);
       grouped = IsGroupedAnswer(literal_bound);
+    }
+    std::vector<const Value*> values;
+    if (tmpl != nullptr) {
+      const ParamLayout& layout = tmpl->plan.layout;
+      values.assign(layout.size(), nullptr);
+      const size_t lifted = shape.params.size();
+      for (size_t k = 0; k < lifted; ++k) values[k] = &shape.params[k];
+      for (size_t slot = lifted; slot < layout.size() && !params.empty();
+           ++slot) {
+        auto it = params.find(layout.name(slot));
+        if (it != params.end()) values[slot] = &it->second;
+      }
     }
     // The answer-stage counters time the answer call alone.
     auto timed = [&](ServeCounter calls, ServeCounter nanos, auto&& call) {
@@ -778,15 +784,22 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     };
     if (!grouped) {
       return timed(ServeCounter::kAnswerScalarCalls,
-                   ServeCounter::kAnswerScalarNanos,
-                   [&] { return snap.store->Answer(*bound, *answer_params); });
+                   ServeCounter::kAnswerScalarNanos, [&] {
+                     if (tmpl == nullptr) {
+                       return snap.store->Answer(*bound, params);
+                     }
+                     return AnswerPlan(tmpl->plan, std::move(values));
+                   });
     }
     VR_ASSIGN_OR_RETURN(
         aggregate::GroupedData data,
         timed(ServeCounter::kAnswerGroupedCalls,
               ServeCounter::kAnswerGroupedNanos, [&] {
-                return snap.store->AnswerGrouped(bound->terms[0].query,
-                                                 *answer_params);
+                if (tmpl == nullptr) {
+                  return snap.store->AnswerGrouped(bound->terms[0].query,
+                                                   params);
+                }
+                return tmpl->plan.terms[0].plan.AnswerGrouped(values);
               }));
     const size_t suppressed = aggregate::ApplySuppression(
         aggregate::SuppressionPolicy{options_.min_group_count}, &data);
@@ -835,6 +848,12 @@ std::shared_ptr<const QueryTemplate> QueryServer::CompileTemplate(
   Result<BoundRewrittenQuery> bound = store.Bind(*rq, nullptr);
   if (!bound.ok()) return pinned();
   tmpl->bound = std::move(*bound);
+  // The lifted values take the first slots, `$k` slot k - 1.
+  ParamLayout layout;
+  for (size_t k = 1; k <= shape.params.size(); ++k) {
+    layout.Add(std::to_string(k));
+  }
+  tmpl->plan = store.Compile(tmpl->bound, std::move(layout));
   tmpl->grouped = IsGroupedAnswer(tmpl->bound);
   tmpl->outdated = TouchesOutdatedView(store, tmpl->bound,
                                        options_.outdated_ttl_generations);

@@ -186,6 +186,12 @@ class SynopsisStore {
     return AnswerBoundGrouped(synopses_, q, params);
   }
 
+  /// Compiles a bound rewritten query against the stored synopses (see
+  /// CompileBound). The plan answers only while this store is alive.
+  QueryPlan Compile(const BoundRewrittenQuery& q, ParamLayout layout) const {
+    return CompileBound(synopses_, q, std::move(layout));
+  }
+
   /// Answers a bound rewritten query from the stored noisy cells, through
   /// the same AnswerBound the engines answer with in-process.
   Result<double> Answer(const BoundRewrittenQuery& q,

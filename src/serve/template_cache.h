@@ -12,13 +12,14 @@
 
 namespace viewrewrite {
 
-/// A compiled query template: parse, rewrite, canonical rendering and bind
-/// done once for every text with the same QueryShape key (sql/token.h)
-/// under one store epoch. The rewriter moves filter constants out of the
-/// subqueries into the final cell queries, so the views a query binds to
-/// do not depend on its lifted literals; a template answers every such
-/// text by binding the literals' values to its `$1 … $n` parameters.
-/// Immutable once built and shared by every request that reuses it.
+/// A compiled query template: parse, rewrite, canonical rendering, bind
+/// and the cell plans done once for every text with the same QueryShape
+/// key (sql/token.h) under one store epoch. The rewriter moves filter
+/// constants out of the subqueries into the final cell queries, so the
+/// views a query binds to do not depend on its lifted literals; a template
+/// answers every such text by binding the literals' values, by position,
+/// to the first `n` slots of its plan's layout (`$1 … $n`). Immutable once
+/// built and shared by every request that reuses it.
 struct QueryTemplate {
   /// The shape answers through the literal path for this epoch: its
   /// template did not parse, rewrite or bind, or binding the compiling
@@ -27,6 +28,10 @@ struct QueryTemplate {
   bool pinned = false;
   /// The rewritten template bound against the epoch's store.
   BoundRewrittenQuery bound;
+  /// `bound` compiled against the epoch's store: one cell plan per chain
+  /// link and per term. It borrows `bound` and the store's synopses, so it
+  /// runs only under a snapshot of the epoch it was compiled against.
+  QueryPlan plan;
   /// A single grouped term without chain links: answered row-wise.
   bool grouped = false;
   /// The staleness flag of the views `bound` touches (fixed per epoch).

@@ -64,20 +64,43 @@ void VisitLeaves(const Expr* e, Fn& fn) {
 
 }  // namespace
 
-CellScope::CellScope(const ViewDef& view, const ParamMap& params)
-    : view_(view), params_(params), cell_(view.attributes().size(), nullptr) {}
+int ParamLayout::Slot(std::string_view name) const {
+  for (size_t i = 0; i < names_.size(); ++i) {
+    if (names_[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
 
-bool CellScope::Resolve(const Expr& e, std::vector<size_t>* dims) {
+size_t ParamLayout::Add(std::string_view name) {
+  const int slot = Slot(name);
+  if (slot >= 0) return static_cast<size_t>(slot);
+  names_.emplace_back(name);
+  return names_.size() - 1;
+}
+
+std::vector<const Value*> BindByName(const ParamLayout& layout,
+                                     const ParamMap& params) {
+  std::vector<const Value*> values(layout.size(), nullptr);
+  if (params.empty()) return values;
+  for (size_t slot = 0; slot < layout.size(); ++slot) {
+    auto it = params.find(layout.name(slot));
+    if (it != params.end()) values[slot] = &it->second;
+  }
+  return values;
+}
+
+bool CellBindings::Resolve(const Expr& e, ParamLayout* layout,
+                           std::vector<size_t>* dims) {
   const size_t first = dims->size();
   bool all_resolved = true;
   auto bind = [&](const Expr& leaf) {
     if (leaf.kind == ExprKind::kParam) {
-      auto it = params_.find(static_cast<const ParamExpr&>(leaf).name);
-      bound_.emplace_back(&leaf, it == params_.end() ? nullptr : &it->second);
+      params_.emplace_back(
+          &leaf, layout->Add(static_cast<const ParamExpr&>(leaf).name));
       return;
     }
     const auto& c = static_cast<const ColumnRefExpr&>(leaf);
-    const int d = view_.AttributeIndex(c.table, c.column);
+    const int d = view_->AttributeIndex(c.table, c.column);
     refs_.emplace_back(&leaf, d);
     if (d < 0) {
       all_resolved = false;
@@ -91,15 +114,33 @@ bool CellScope::Resolve(const Expr& e, std::vector<size_t>* dims) {
   return all_resolved;
 }
 
-Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
+CellScope::CellScope(const ViewDef& view, const ParamMap& params)
+    : bindings_(view), cell_(view.attributes().size(), nullptr) {
+  for (const auto& [name, value] : params) {
+    layout_.Add(name);
+    values_.push_back(&value);
+  }
+}
+
+bool CellScope::Resolve(const Expr& e, std::vector<size_t>* dims) {
+  const bool resolved = bindings_.Resolve(e, &layout_, dims);
+  values_.resize(layout_.size(), nullptr);  // names the map lacks: unbound
+  return resolved;
+}
+
+CellFrame CellScope::frame() const {
+  return CellFrame{&bindings_, values_, cell_.data()};
+}
+
+Result<Value> EvalCellExpr(const Expr& e, const CellFrame& frame) {
   switch (e.kind) {
     case ExprKind::kLiteral:
       return static_cast<const LiteralExpr&>(e).value;
     case ExprKind::kColumnRef: {
-      for (const auto& [ref, dim] : scope.refs_) {
+      for (const auto& [ref, dim] : frame.bindings->refs_) {
         if (ref != &e) continue;
         const Value* rep =
-            dim < 0 ? nullptr : scope.cell_[static_cast<size_t>(dim)];
+            dim < 0 ? nullptr : frame.cell[static_cast<size_t>(dim)];
         if (rep == nullptr) break;
         return *rep;
       }
@@ -108,8 +149,10 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
           static_cast<const ColumnRefExpr&>(e).FullName() + "'");
     }
     case ExprKind::kParam: {
-      for (const auto& [param, value] : scope.bound_) {
+      for (const auto& [param, slot] : frame.bindings->params_) {
         if (param != &e) continue;
+        const Value* value =
+            slot < frame.params.size() ? frame.params[slot] : nullptr;
         if (value == nullptr) break;
         return *value;
       }
@@ -119,8 +162,8 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
     case ExprKind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
       if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) {
-        VR_ASSIGN_OR_RETURN(Value lv, EvalCellExpr(*b.left, scope));
-        VR_ASSIGN_OR_RETURN(Value rv, EvalCellExpr(*b.right, scope));
+        VR_ASSIGN_OR_RETURN(Value lv, EvalCellExpr(*b.left, frame));
+        VR_ASSIGN_OR_RETURN(Value rv, EvalCellExpr(*b.right, frame));
         Tri l = ToTri(lv);
         Tri r = ToTri(rv);
         if (b.op == BinaryOp::kAnd) {
@@ -132,8 +175,8 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
         if (l == Tri::kNull || r == Tri::kNull) return FromTri(Tri::kNull);
         return FromTri(Tri::kFalse);
       }
-      VR_ASSIGN_OR_RETURN(Value l, EvalCellExpr(*b.left, scope));
-      VR_ASSIGN_OR_RETURN(Value r, EvalCellExpr(*b.right, scope));
+      VR_ASSIGN_OR_RETURN(Value l, EvalCellExpr(*b.left, frame));
+      VR_ASSIGN_OR_RETURN(Value r, EvalCellExpr(*b.right, frame));
       if (IsComparisonOp(b.op)) {
         VR_ASSIGN_OR_RETURN(Value::TriCompare c, l.CompareSql(r));
         if (c.is_null) return Value::Null();
@@ -168,7 +211,7 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
-      VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*u.operand, scope));
+      VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*u.operand, frame));
       if (u.op == UnaryOp::kNot) {
         Tri t = ToTri(v);
         if (t == Tri::kNull) return Value::Null();
@@ -183,22 +226,22 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
       const auto& f = static_cast<const FuncCallExpr&>(e);
       if (f.name == "coalesce") {
         for (const auto& a : f.args) {
-          VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*a, scope));
+          VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*a, frame));
           if (!v.is_null()) return v;
         }
         return Value::Null();
       }
       if (f.name == "isnull" || f.name == "isnotnull") {
-        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], scope));
+        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], frame));
         return Value::Int((f.name == "isnull") == v.is_null() ? 1 : 0);
       }
       if (f.name == "ifpos") {
-        VR_ASSIGN_OR_RETURN(Value cond, EvalCellExpr(*f.args[0], scope));
+        VR_ASSIGN_OR_RETURN(Value cond, EvalCellExpr(*f.args[0], frame));
         if (ToTri(cond) != Tri::kTrue) return Value::Null();
-        return EvalCellExpr(*f.args[1], scope);
+        return EvalCellExpr(*f.args[1], frame);
       }
       if (f.name == "abs") {
-        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], scope));
+        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*f.args[0], frame));
         if (v.is_null()) return Value::Null();
         return Value::Double(std::fabs(v.ToDouble()));
       }
@@ -209,11 +252,11 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
       if (in.subquery) {
         return Status::Unsupported("cell IN over a subquery (not rewritten?)");
       }
-      VR_ASSIGN_OR_RETURN(Value lhs, EvalCellExpr(*in.lhs, scope));
+      VR_ASSIGN_OR_RETURN(Value lhs, EvalCellExpr(*in.lhs, frame));
       if (lhs.is_null()) return Value::Null();
       bool any_null = false;
       for (const auto& item : in.value_list) {
-        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*item, scope));
+        VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(*item, frame));
         if (v.is_null()) {
           any_null = true;
           continue;
@@ -232,8 +275,8 @@ Result<Value> EvalCellExpr(const Expr& e, const CellScope& scope) {
   }
 }
 
-Result<bool> EvalCellPredicate(const Expr& e, const CellScope& scope) {
-  VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(e, scope));
+Result<bool> EvalCellPredicate(const Expr& e, const CellFrame& frame) {
+  VR_ASSIGN_OR_RETURN(Value v, EvalCellExpr(e, frame));
   return ToTri(v) == Tri::kTrue;
 }
 

@@ -43,10 +43,11 @@ struct SynopsisParts;
 /// Thread safety: once built (or reconstructed), a Synopsis is immutable.
 /// Build and FromParts also compute every cell representative, which
 /// nothing changes afterwards. All const members — AnswerScalar,
-/// AnswerGroupedData, stats, ToParts — only read the cell arrays and
-/// representatives and build per-call state, so any number of threads
-/// may answer queries from one Synopsis concurrently with no external
-/// locking. The serve layer's QueryServer relies on this contract.
+/// AnswerGroupedData, stats, ToParts — and every CellPlan compiled
+/// against it only read the cell arrays and representatives and build
+/// per-call state, so any number of threads may answer queries from one
+/// Synopsis concurrently with no external locking. The serve layer's
+/// QueryServer relies on this contract.
 class Synopsis {
  public:
   /// `dls`, `materialized_rows` and `truncated_rows` describe the exact
@@ -69,28 +70,17 @@ class Synopsis {
                                 const SynopsisOptions& options, Random* rng,
                                 std::optional<Synopsis>* truth = nullptr);
 
-  /// Answers a scalar aggregate `query` whose FROM matches this view by
-  /// totalling the measure cells whose representative values satisfy the
-  /// WHERE. Each call compiles the WHERE once into a cell program
-  /// (per-dimension allowed lists plus truth tables for the conjuncts
-  /// that read several dimensions) and walks the allowed cells in
-  /// flat-index order, so the sum is the same, bit for bit, as evaluating
-  /// the whole WHERE at every cell. Supports COUNT, SUM(expr) (for
-  /// registered measure expressions), MIN/MAX/AVG(col) (estimated from
-  /// the histograms over col's dimension), and arithmetic around
-  /// aggregate calls.
+  /// Answers a scalar aggregate `query` whose FROM matches this view from
+  /// the measure cells whose representative values satisfy the WHERE, by
+  /// compiling a CellPlan (view/cell_plan.h) and running it once with
+  /// `params` bound by name. See CellPlan::AnswerScalar.
   Result<double> AnswerScalar(const SelectStmt& query,
                               const ParamMap& params) const;
 
-  /// Answers a grouped aggregate (GROUP BY over view attributes): one
-  /// output row per group cell, keyed by the cell representative, with
-  /// the aggregate per group. On a release this is the private histogram
-  /// release for workloads that want per-group results instead of one
-  /// scalar. Derived aggregates (AVG, VARIANCE, STDDEV) combine measures
-  /// per the planner; a HAVING clause is evaluated over the per-group
-  /// aggregates (post-processing of the noisy ones) and filters the rows.
-  /// Every row carries the group's count for the serve layer's
-  /// suppression rule.
+  /// Answers a grouped aggregate (GROUP BY over view attributes) the same
+  /// way: one output row per group cell. On a release this is the private
+  /// histogram release for workloads that want per-group results instead
+  /// of one scalar. See CellPlan::AnswerGrouped.
   Result<aggregate::GroupedData> AnswerGroupedData(const SelectStmt& query,
                                                    const ParamMap& params)
       const;
@@ -116,45 +106,19 @@ class Synopsis {
 
   int64_t CellOf(size_t dim, const Value& v) const;
 
-  /// Answers one aggregate call over the cells matching `where` by
-  /// combining measures per its AggregatePlan (the shared engine behind
-  /// both the scalar and the grouped answer paths).
-  Result<double> AnswerAggCall(const FuncCallExpr& agg, const Expr* where,
-                               const ParamMap& params) const;
-
-  /// Compiles `where` into a cell program once and calls
-  /// `visit(flat_index, cell)` for every cell it admits, in flat-index
-  /// order (the grid is row-major over dim_sizes_, last dimension
-  /// fastest); `cell` holds the cell's index along each dimension.
-  template <typename Visit>
-  Status WalkMatchingCells(const Expr* where, const ParamMap& params,
-                           Visit&& visit) const;
-
-  /// Totals `array` over the cells matching `where`, adding in flat-index
-  /// order.
-  Result<double> SumMatchingCells(const std::vector<double>& array,
-                                  const Expr* where,
-                                  const ParamMap& params) const;
-
-  /// Readings of `aggs` for every group of a grouped query (row-major
-  /// over `group_dims`, `group_cells` value cells each), from one walk
-  /// over the cells matching `where`: readings[g * aggs.size() + a].
-  /// nullopt when the per-group path must answer instead (MIN/MAX, group
-  /// cells that share a representative, plan or measure errors).
-  Result<std::optional<std::vector<double>>> GroupedReadings(
-      const std::vector<const FuncCallExpr*>& aggs, const Expr* where,
-      const ParamMap& params, const std::vector<size_t>& group_dims,
-      const std::vector<size_t>& group_cells) const;
-
-  Result<double> EstimateExtremum(const ColumnRefExpr& column, bool is_max,
-                                  const Expr* where,
-                                  const ParamMap& params) const;
+  friend class CellPlan;  // answers from the cells and representatives
 
   const ViewDef* view_ = nullptr;  // owned by the ViewManager
   std::vector<int64_t> dim_sizes_;  // CellCount()+1 per attribute
   /// Representative value per dimension and cell index: categorical value
   /// or bucket midpoint, NULL for the extra NULL/other cell.
   std::vector<std::vector<Value>> reps_;
+  /// Per dimension: its representatives are numbers in non-decreasing
+  /// order (no NaN) followed only by NULLs, so a binary search over
+  /// ordered_keys_ (their doubles) selects `col op value` exactly as
+  /// CompareSql does.
+  std::vector<bool> ordered_;
+  std::vector<std::vector<double>> ordered_keys_;
   /// Per dimension: its value cells have pairwise distinct, non-NULL
   /// representatives, so a GROUP BY on it pins exactly one cell per group
   /// (what lets AnswerGroupedData total every group in one pass).

@@ -377,26 +377,48 @@ Result<const Synopsis*> FindSynopsis(const SynopsisMap& synopses,
 
 }  // namespace
 
-Result<double> AnswerBound(const SynopsisMap& synopses,
-                           const BoundRewrittenQuery& q,
-                           const ParamMap& params) {
-  auto scalar = [&](const BoundQuery& bq,
-                    const ParamMap& bound_params) -> Result<double> {
-    VR_ASSIGN_OR_RETURN(const Synopsis* syn,
-                        FindSynopsis(synopses, bq.view_signature));
-    return syn->AnswerScalar(*bq.cell_query, bound_params);
+QueryPlan CompileBound(const SynopsisMap& synopses,
+                       const BoundRewrittenQuery& q, ParamLayout layout) {
+  QueryPlan plan;
+  auto compile = [&](const BoundQuery& bq) {
+    Result<const Synopsis*> syn = FindSynopsis(synopses, bq.view_signature);
+    if (!syn.ok()) return CellPlan(syn.status());
+    return CellPlan(**syn, *bq.cell_query, &layout);
   };
-  ParamMap bound_params = params;
   for (const auto& link : q.chain) {
-    VR_ASSIGN_OR_RETURN(double v, scalar(link.query, bound_params));
-    bound_params[link.var] = Value::Double(v);
+    CellPlan link_plan = compile(link.query);
+    plan.chain.push_back({layout.Add(link.var), std::move(link_plan)});
+  }
+  for (const auto& term : q.terms) {
+    plan.terms.push_back({term.coeff, compile(term.query)});
+  }
+  plan.layout = std::move(layout);
+  return plan;
+}
+
+Result<double> AnswerPlan(const QueryPlan& plan,
+                          std::vector<const Value*> values) {
+  values.resize(plan.layout.size(), nullptr);
+  std::vector<Value> chain_values(plan.chain.size());
+  for (size_t i = 0; i < plan.chain.size(); ++i) {
+    const QueryPlan::Link& link = plan.chain[i];
+    VR_ASSIGN_OR_RETURN(double v, link.plan.AnswerScalar(values));
+    chain_values[i] = Value::Double(v);
+    values[link.slot] = &chain_values[i];
   }
   double total = 0;
-  for (const auto& term : q.terms) {
-    VR_ASSIGN_OR_RETURN(double v, scalar(term.query, bound_params));
+  for (const auto& term : plan.terms) {
+    VR_ASSIGN_OR_RETURN(double v, term.plan.AnswerScalar(values));
     total += term.coeff * v;
   }
   return total;
+}
+
+Result<double> AnswerBound(const SynopsisMap& synopses,
+                           const BoundRewrittenQuery& q,
+                           const ParamMap& params) {
+  const QueryPlan plan = CompileBound(synopses, q);
+  return AnswerPlan(plan, BindByName(plan.layout, params));
 }
 
 Result<aggregate::GroupedData> AnswerBoundGrouped(const SynopsisMap& synopses,

@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "dp/budget.h"
 #include "exec/executor.h"
+#include "view/cell_plan.h"
 #include "view/synopsis.h"
 #include "view/view_def.h"
 #include "view/view_matcher.h"
@@ -44,9 +45,41 @@ struct BoundRewrittenQuery {
 /// Synopses by view signature: what a bound query is answered from.
 using SynopsisMap = std::map<std::string, Synopsis>;
 
+/// A bound rewritten query compiled against one SynopsisMap: a CellPlan
+/// per chain link and per term, all reading their parameters from one
+/// ParamLayout. Immutable, so it may answer from many threads at once; it
+/// borrows the synopses and the bound query, which must outlive it.
+struct QueryPlan {
+  ParamLayout layout;
+  struct Link {
+    size_t slot;  // the link's $var
+    CellPlan plan;
+  };
+  std::vector<Link> chain;
+  struct Term {
+    double coeff;
+    CellPlan plan;
+  };
+  std::vector<Term> terms;
+};
+
+/// Compiles `q` against `synopses`. `layout` may already name slots (a
+/// query template's lifted `$1 … $n`); every chain variable and every
+/// other parameter the cell queries read is appended. A view with no
+/// synopsis compiles to a plan that fails with NotFound when reached.
+QueryPlan CompileBound(const SynopsisMap& synopses,
+                       const BoundRewrittenQuery& q, ParamLayout layout = {});
+
+/// Answers a compiled query with one value per layout slot: chain links
+/// evaluate first (each result binds its $var slot), then the signed
+/// combination.
+Result<double> AnswerPlan(const QueryPlan& plan,
+                          std::vector<const Value*> values);
+
 /// The one answer path. The engines answer from ViewManager::synopses()
 /// (noisy) and ViewManager::ground_truth() (the benchmark oracle), the
-/// serve layer from a SynopsisStore's synopses — all through these.
+/// serve layer from a SynopsisStore's synopses — all through compiled
+/// plans: these compile one, bind `params` by name and run it.
 ///
 /// Answers a bound rewritten query: chain links evaluate first (each
 /// result binds its $var parameter), then the signed combination.

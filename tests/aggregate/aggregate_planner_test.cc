@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +151,24 @@ TEST(EvaluateDerivedTest, VarianceAndStddevAgree) {
   EXPECT_DOUBLE_EQ(sd0, 0.0);
 }
 
+/// Aggregates by canonical SQL; columns by qualified, then bare name.
+struct MapContext : EvalContext {
+  std::optional<double> Aggregate(const FuncCallExpr& call) const override {
+    auto it = aggregates->find(ToSql(call));
+    if (it == aggregates->end()) return std::nullopt;
+    return it->second;
+  }
+  const Value* Column(const ColumnRefExpr& ref) const override {
+    auto it = columns->find(ref.FullName());
+    if (it == columns->end()) it = columns->find(ref.column);
+    return it == columns->end() ? nullptr : &it->second;
+  }
+  const Value* Param(const ParamExpr&) const override { return nullptr; }
+
+  const std::map<std::string, double>* aggregates = nullptr;
+  const std::map<std::string, Value>* columns = nullptr;
+};
+
 class EvalExprTest : public ::testing::Test {
  protected:
   EvalExprTest() {
@@ -163,7 +182,7 @@ class EvalExprTest : public ::testing::Test {
 
   std::map<std::string, double> aggregates_;
   std::map<std::string, Value> columns_;
-  EvalContext ctx_;
+  MapContext ctx_;
 };
 
 TEST_F(EvalExprTest, AggregateCallsResolveByCanonicalSql) {
