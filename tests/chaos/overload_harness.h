@@ -273,13 +273,18 @@ inline OverloadRunResult RunOverloadSeed(uint64_t seed,
     return answered;
   };
   // A first, discarded pass warms the server (worker threads, template
-  // cache, allocator) so the measured pass does not under-read capacity
-  // on a cold start; an under-read capacity makes every phase offer less
-  // than its nominal factor.
+  // cache, allocator) so no measured pass under-reads capacity on a cold
+  // start; an under-read capacity makes every phase offer less than its
+  // nominal factor. Capacity is then the best of three measured passes:
+  // on a host whose other load slows one pass down, a single reading can
+  // come out at a fraction of the server's peak.
   calibrate();
   if (!result.violations.empty()) return result;
-  const uint64_t calib_done = calibrate();
-  if (!result.violations.empty()) return result;
+  uint64_t calib_done = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    calib_done = std::max(calib_done, calibrate());
+    if (!result.violations.empty()) return result;
+  }
   result.capacity_qps =
       static_cast<double>(calib_done) /
       std::chrono::duration<double>(config.calibration).count();
