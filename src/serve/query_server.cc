@@ -745,21 +745,11 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
   auto answer = [&]() -> Result<double> {
     VR_FAULT_POINT(faults::kServeAnswer);
     BoundRewrittenQuery literal_bound;
-    const BoundRewrittenQuery* bound = nullptr;
+    std::vector<const Value*> values;  // one per template plan slot
     bool grouped = false;
     if (tmpl != nullptr) {
-      bound = &tmpl->bound;
       outdated = tmpl->outdated;
       grouped = tmpl->grouped;
-    } else {
-      VR_ASSIGN_OR_RETURN(literal_bound, snap.store->Bind(*literal, nullptr));
-      bound = &literal_bound;
-      outdated = TouchesOutdatedView(*snap.store, literal_bound,
-                                     options_.outdated_ttl_generations);
-      grouped = IsGroupedAnswer(literal_bound);
-    }
-    std::vector<const Value*> values;
-    if (tmpl != nullptr) {
       const ParamLayout& layout = tmpl->plan.layout;
       values.assign(layout.size(), nullptr);
       const size_t lifted = shape.params.size();
@@ -769,6 +759,11 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
         auto it = params.find(layout.name(slot));
         if (it != params.end()) values[slot] = &it->second;
       }
+    } else {
+      VR_ASSIGN_OR_RETURN(literal_bound, snap.store->Bind(*literal, nullptr));
+      outdated = TouchesOutdatedView(*snap.store, literal_bound,
+                                     options_.outdated_ttl_generations);
+      grouped = IsGroupedAnswer(literal_bound);
     }
     // The answer-stage counters time the answer call alone.
     auto timed = [&](ServeCounter calls, ServeCounter nanos, auto&& call) {
@@ -786,7 +781,7 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
       return timed(ServeCounter::kAnswerScalarCalls,
                    ServeCounter::kAnswerScalarNanos, [&] {
                      if (tmpl == nullptr) {
-                       return snap.store->Answer(*bound, params);
+                       return snap.store->Answer(literal_bound, params);
                      }
                      return AnswerPlan(tmpl->plan, std::move(values));
                    });
@@ -796,8 +791,8 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
         timed(ServeCounter::kAnswerGroupedCalls,
               ServeCounter::kAnswerGroupedNanos, [&] {
                 if (tmpl == nullptr) {
-                  return snap.store->AnswerGrouped(bound->terms[0].query,
-                                                   params);
+                  return snap.store->AnswerGrouped(
+                      literal_bound.terms[0].query, params);
                 }
                 return tmpl->plan.terms[0].plan.AnswerGrouped(values);
               }));

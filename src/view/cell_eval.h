@@ -20,8 +20,6 @@ namespace viewrewrite {
 /// while answering.
 class ParamLayout {
  public:
-  ParamLayout() = default;
-
   /// Slot of `$name`, or -1.
   int Slot(std::string_view name) const;
   /// Slot of `$name`, appended when new.

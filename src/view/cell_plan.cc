@@ -136,53 +136,27 @@ std::optional<OrderedSelection> SelectOrdered(std::span<const double> keys,
 namespace {
 
 /// Writes the indices in [0, size) where every selection holds, in
-/// ascending order, by intersecting their index runs.
+/// ascending order: for selections that are not negated, one run among
+/// the keys, then the NULL padding when every selection admits it.
 void Intersect(std::span<const OrderedSelection* const> selections,
                size_t size, std::vector<size_t>* out) {
   out->reserve(size);
-  using Run = std::pair<size_t, size_t>;  // [first, second)
-  auto emit = [&](Run r) {
-    for (size_t i = r.first; i < r.second; ++i) out->push_back(i);
-  };
-  if (selections.empty()) return emit({0, size});
-  if (std::none_of(selections.begin(), selections.end(),
-                   [](const OrderedSelection* s) { return s->negated; })) {
-    // One run among the keys, and the padding when every one admits it.
-    const size_t keys = selections[0]->keys;
-    Run run{0, keys};
-    bool padding = true;
-    for (const OrderedSelection* s : selections) {
-      run.first = std::max(run.first, s->begin);
-      run.second = std::min(run.second, s->end);
-      padding = padding && s->padding == Truth::kTrue;
-    }
-    emit(run);
-    if (padding) emit({keys, size});
-    return;
+  size_t first = 0;
+  size_t last = size;
+  bool padding = false;
+  if (!selections.empty()) {
+    last = selections[0]->keys;
+    padding = true;
   }
-  std::vector<Run> runs = {{0, size}};
-  std::vector<Run> own;
-  std::vector<Run> next;
   for (const OrderedSelection* s : selections) {
-    own.clear();
-    if (s->negated) {
-      own.emplace_back(0, s->begin);
-      own.emplace_back(s->end, s->keys);
-    } else {
-      own.emplace_back(s->begin, s->end);
-    }
-    if (s->padding == Truth::kTrue) own.emplace_back(s->keys, size);
-    next.clear();
-    for (const Run& r : runs) {
-      for (const Run& o : own) {
-        const size_t lo = std::max(r.first, o.first);
-        const size_t hi = std::min(r.second, o.second);
-        if (lo < hi) next.emplace_back(lo, hi);
-      }
-    }
-    runs.swap(next);
+    first = std::max(first, s->begin);
+    last = std::min(last, s->end);
+    padding = padding && s->padding == Truth::kTrue;
   }
-  for (const Run& r : runs) emit(r);
+  for (size_t i = first; i < last; ++i) out->push_back(i);
+  if (padding) {
+    for (size_t i = selections[0]->keys; i < size; ++i) out->push_back(i);
+  }
 }
 
 }  // namespace
@@ -688,8 +662,8 @@ Status CellPlan::Allow(size_t d, ParamValues params, std::span<const Pin> pins,
   const bool pinned = std::any_of(pins.begin(), pins.end(),
                                   [&](const Pin& pin) { return pin.dim == d; });
   allowed->clear();
-  // Leading decided single comparisons narrow the candidates by their
-  // index runs, without visiting a representative; the other conjuncts
+  // Leading decided comparisons other than `<>` narrow the candidates to
+  // one index run, without visiting a representative; the other conjuncts
   // run in order at each candidate, so every interpreted evaluation
   // happens exactly where it would without the narrowing.
   constexpr size_t kLeading = 8;
@@ -698,7 +672,8 @@ Status CellPlan::Allow(size_t d, ParamValues params, std::span<const Pin> pins,
   for (; open < conjuncts.size() && open < kLeading; ++open) {
     const Conjunct& c = conjuncts[open];
     if (!c.Decided(selected) ||
-        p.nodes[static_cast<size_t>(c.root)].kind != Node::Kind::kAtom) {
+        p.nodes[static_cast<size_t>(c.root)].kind != Node::Kind::kAtom ||
+        selected[c.atom_begin]->negated) {
       break;
     }
     leading[open] = &*selected[c.atom_begin];

@@ -754,14 +754,23 @@ Template MakeTemplate(Case& c) {
     t.ops.push_back(flip ? cmp.flipped : cmp.op);
     t.fallbacks.push_back(fallback);
   }
-  // The same comparisons under NOT, AND and OR: over one dimension or a
-  // truth table over two.
+  // The first and last parameters again, against any dimension, under
+  // NOT, AND and OR: over one dimension or a truth table over two, and
+  // reaching NULL cells no other conjunct filters out.
+  auto compare = [&](int64_t k) {
+    const Dim& d = c.dims()[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(c.dims().size()) - 1))];
+    return d.name + " " + kComparisons[rng.UniformInt(0, 5)].text + " $" +
+           SlotName(static_cast<size_t>(k));
+  };
   switch (rng.UniformInt(0, 2)) {
     case 0:
-      parts.push_back("NOT (" + parts.front() + " AND " + parts.back() + ")");
+      parts.push_back("NOT (" + compare(0) + " AND " + compare(params - 1) +
+                      ")");
       break;
     case 1:
-      parts.push_back("(" + parts.front() + " OR NOT (" + parts.back() + "))");
+      parts.push_back("(" + compare(0) + " OR NOT (" + compare(params - 1) +
+                      "))");
       break;
     default:
       break;
