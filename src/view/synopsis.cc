@@ -5,13 +5,9 @@
 #include <deque>
 #include <unordered_map>
 
-#include "aggregate/aggregate_planner.h"
 #include "common/limits.h"
 #include "dp/mechanism.h"
 #include "dp/truncation.h"
-#include "rewrite/analysis.h"
-#include "sql/printer.h"
-#include "view/cell_plan.h"
 
 namespace viewrewrite {
 
@@ -479,20 +475,6 @@ Result<Synopsis> Synopsis::FromParts(const ViewDef* view,
   s.stats_ = parts.stats;
   s.ComputeRepresentatives();
   return s;
-}
-
-Result<double> Synopsis::AnswerScalar(const SelectStmt& query,
-                                      const ParamMap& params) const {
-  ParamLayout layout;
-  const CellPlan plan(*this, query, &layout);
-  return plan.AnswerScalar(BindByName(layout, params));
-}
-
-Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
-    const SelectStmt& query, const ParamMap& params) const {
-  ParamLayout layout;
-  const CellPlan plan(*this, query, &layout);
-  return plan.AnswerGrouped(BindByName(layout, params));
 }
 
 }  // namespace viewrewrite

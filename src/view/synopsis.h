@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "aggregate/grouped_result.h"
 #include "catalog/schema.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -40,13 +39,15 @@ struct SynopsisParts;
 /// keeps it as the benchmark oracle) and is never serialized; ToParts of
 /// a release carries no exact cell or exact build statistic.
 ///
+/// Queries are answered from it by compiling a CellPlan
+/// (view/cell_plan.h) against it.
+///
 /// Thread safety: once built (or reconstructed), a Synopsis is immutable.
 /// Build and FromParts also compute every cell representative, which
-/// nothing changes afterwards. All const members — AnswerScalar,
-/// AnswerGroupedData, stats, ToParts — and every CellPlan compiled
-/// against it only read the cell arrays and representatives and build
-/// per-call state, so any number of threads may answer queries from one
-/// Synopsis concurrently with no external locking. The serve layer's
+/// nothing changes afterwards. Its const members and every CellPlan
+/// compiled against it only read the cell arrays and representatives and
+/// build per-call state, so any number of threads may answer queries from
+/// one Synopsis concurrently with no external locking. The serve layer's
 /// QueryServer relies on this contract.
 class Synopsis {
  public:
@@ -69,21 +70,6 @@ class Synopsis {
                                 const PrivacyPolicy& policy, double epsilon,
                                 const SynopsisOptions& options, Random* rng,
                                 std::optional<Synopsis>* truth = nullptr);
-
-  /// Answers a scalar aggregate `query` whose FROM matches this view from
-  /// the measure cells whose representative values satisfy the WHERE, by
-  /// compiling a CellPlan (view/cell_plan.h) and running it once with
-  /// `params` bound by name. See CellPlan::AnswerScalar.
-  Result<double> AnswerScalar(const SelectStmt& query,
-                              const ParamMap& params) const;
-
-  /// Answers a grouped aggregate (GROUP BY over view attributes) the same
-  /// way: one output row per group cell. On a release this is the private
-  /// histogram release for workloads that want per-group results instead
-  /// of one scalar. See CellPlan::AnswerGrouped.
-  Result<aggregate::GroupedData> AnswerGroupedData(const SelectStmt& query,
-                                                   const ParamMap& params)
-      const;
 
   const BuildStats& stats() const { return stats_; }
   const ViewDef& view() const { return *view_; }
@@ -121,7 +107,7 @@ class Synopsis {
   std::vector<std::vector<double>> ordered_keys_;
   /// Per dimension: its value cells have pairwise distinct, non-NULL
   /// representatives, so a GROUP BY on it pins exactly one cell per group
-  /// (what lets AnswerGroupedData total every group in one pass).
+  /// (what lets CellPlan::AnswerGrouped total every group in one pass).
   std::vector<bool> distinct_groups_;
   size_t total_cells_ = 1;
   /// measure key -> cell array (count first): noisy on a release, the

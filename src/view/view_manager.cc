@@ -426,7 +426,9 @@ Result<aggregate::GroupedData> AnswerBoundGrouped(const SynopsisMap& synopses,
                                                   const ParamMap& params) {
   VR_ASSIGN_OR_RETURN(const Synopsis* syn,
                       FindSynopsis(synopses, q.view_signature));
-  return syn->AnswerGroupedData(*q.cell_query, params);
+  ParamLayout layout;
+  const CellPlan plan(*syn, *q.cell_query, &layout);
+  return plan.AnswerGrouped(BindByName(layout, params));
 }
 
 }  // namespace viewrewrite

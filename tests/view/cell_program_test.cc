@@ -1,7 +1,7 @@
 // Differential test of the compiled cell plans behind Synopsis answers.
 // Seeded random small views (2-4 categorical or bucketed dimensions with
-// random non-integral cell values) are answered through AnswerScalar and
-// AnswerGroupedData, and each answer is checked against a brute-force
+// random non-integral cell values) are answered through CellPlan's scalar
+// and grouped answers, and each answer is checked against a brute-force
 // oracle that evaluates the whole WHERE at every cell of the full grid in
 // flat-index order. Sums must match bit for bit; when both sides fail,
 // the status codes must match. The plan-reuse cases compile one CellPlan
@@ -542,7 +542,9 @@ TEST(CellProgramTest, ScalarAnswersMatchBruteForceBitForBit) {
       const std::string sql = "SELECT " + item + " FROM t" + where;
       auto stmt = ParseSelect(sql);
       ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status();
-      Result<double> got = c.synopsis().AnswerScalar(**stmt, c.params());
+      ParamLayout layout;
+      const CellPlan plan(c.synopsis(), **stmt, &layout);
+      Result<double> got = plan.AnswerScalar(BindByName(layout, c.params()));
       CheckScalar(c, item, (*stmt)->where.get(), c.params(), got,
                   "seed " + std::to_string(seed) + ": " + sql, &tally);
     }
@@ -611,7 +613,9 @@ TEST(CellProgramTest, GroupedAnswersMatchBruteForceBitForBit) {
         kept.push_back(g);
       }
     }
-    auto got = c.synopsis().AnswerGroupedData(**stmt, c.params());
+    ParamLayout layout;
+    const CellPlan plan(c.synopsis(), **stmt, &layout);
+    auto got = plan.AnswerGrouped(BindByName(layout, c.params()));
     const std::string context = "seed " + std::to_string(seed) + ": " + sql;
     Compare<aggregate::GroupedData>(
         got, oracle, context, &tally,
