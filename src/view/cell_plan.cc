@@ -126,9 +126,7 @@ std::optional<OrderedSelection> SelectOrdered(std::span<const double> keys,
   if (fallback != nullptr) {
     Result<Value::TriCompare> cmp = fallback->CompareSql(value);
     if (!cmp.ok()) return std::nullopt;
-    s.padding = cmp->is_null                      ? Truth::kNull
-                : ComparisonHolds(op, cmp->cmp) ? Truth::kTrue
-                                                : Truth::kFalse;
+    s.padding = !cmp->is_null && ComparisonHolds(op, cmp->cmp);
   }
   return s;
 }
@@ -151,7 +149,7 @@ void Intersect(std::span<const OrderedSelection* const> selections,
   for (const OrderedSelection* s : selections) {
     first = std::max(first, s->begin);
     last = std::min(last, s->end);
-    padding = padding && s->padding == Truth::kTrue;
+    padding = padding && s->padding;
   }
   for (size_t i = first; i < last; ++i) out->push_back(i);
   if (padding) {
@@ -181,31 +179,21 @@ struct Atom {
   const Value* fallback = nullptr;  // COALESCE's literal
 };
 
-/// A node of a decided conjunct: an atom, or AND/OR/NOT over nodes
-/// (children come before their parent).
-struct Node {
-  enum class Kind : uint8_t { kAtom, kAnd, kOr, kNot };
-  Kind kind;
-  size_t a = 0;  // the atom, or the first child
-  size_t b = 0;  // the second child
-};
-
-/// A WHERE conjunct. When it is AND/OR/NOT over atoms, `root` is its node
-/// and [atom_begin, atom_end) its atoms: a call that decides every one of
-/// them evaluates the conjunct from their selections, with no interpreter.
+/// A WHERE conjunct; `atom` indexes Program::atoms when the conjunct is
+/// one comparison a binary search may decide.
 struct Conjunct {
   const Expr* expr;
   std::vector<size_t> dims;  // ascending
-  int root = -1;
-  size_t atom_begin = 0;
-  size_t atom_end = 0;
+  int atom = -1;
 
-  bool Decided(std::span<const std::optional<OrderedSelection>> sel) const {
-    if (root < 0) return false;
-    for (size_t i = atom_begin; i < atom_end; ++i) {
-      if (!sel[i].has_value()) return false;
+  /// This call's selection of the conjunct, or nullptr when the
+  /// interpreter decides it.
+  const OrderedSelection* Selection(
+      std::span<const std::optional<OrderedSelection>> sel) const {
+    if (atom < 0 || !sel[static_cast<size_t>(atom)].has_value()) {
+      return nullptr;
     }
-    return true;
+    return &*sel[static_cast<size_t>(atom)];
   }
 };
 
@@ -245,7 +233,6 @@ struct CellPlan::Program {
   std::vector<std::vector<Conjunct>> one_dim;  // per dimension
   std::vector<Conjunct> tabled;  // over several dimensions
   std::vector<Atom> atoms;
-  std::vector<Node> nodes;
   const double* count = nullptr;  // the count measure (extremum scans)
 
   // ---- The scalar answer. ----------------------------------------------------
@@ -376,34 +363,14 @@ Result<double> EvalAggregateExpr(
   }
 }
 
-/// Appends `e` as a node over atoms when it is AND/OR/NOT over
-/// comparisons of ordered dimensions; returns its node, or -1.
-int CompileDecision(const Expr& e, const Synopsis& s,
-                    const std::vector<bool>& ordered, const ParamLayout& layout,
-                    std::vector<Atom>* atoms, std::vector<Node>* nodes) {
-  auto push = [&](Node node) {
-    nodes->push_back(node);
-    return static_cast<int>(nodes->size() - 1);
-  };
-  if (e.kind == ExprKind::kUnary) {
-    const auto& u = static_cast<const UnaryExpr&>(e);
-    if (u.op != UnaryOp::kNot) return -1;
-    const int child = CompileDecision(*u.operand, s, ordered, layout, atoms,
-                                      nodes);
-    if (child < 0) return -1;
-    return push({Node::Kind::kNot, static_cast<size_t>(child)});
-  }
-  if (e.kind != ExprKind::kBinary) return -1;
+/// `e` as an atom when it compares a column of an ordered dimension (or
+/// `COALESCE(column, literal)`) with a parameter or a literal.
+std::optional<Atom> CompileAtom(const Expr& e, const Synopsis& s,
+                                const std::vector<bool>& ordered,
+                                const ParamLayout& layout) {
+  if (e.kind != ExprKind::kBinary) return std::nullopt;
   const auto& b = static_cast<const BinaryExpr&>(e);
-  if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) {
-    const int l = CompileDecision(*b.left, s, ordered, layout, atoms, nodes);
-    if (l < 0) return -1;
-    const int r = CompileDecision(*b.right, s, ordered, layout, atoms, nodes);
-    if (r < 0) return -1;
-    return push({b.op == BinaryOp::kAnd ? Node::Kind::kAnd : Node::Kind::kOr,
-                 static_cast<size_t>(l), static_cast<size_t>(r)});
-  }
-  if (!IsComparisonOp(b.op)) return -1;
+  if (!IsComparisonOp(b.op)) return std::nullopt;
   const Expr* column = b.left.get();
   const Expr* value = b.right.get();
   BinaryOp op = b.op;
@@ -411,14 +378,14 @@ int CompileDecision(const Expr& e, const Synopsis& s,
   if (!IsColumnSide(*column, &atom.fallback)) {
     std::swap(column, value);
     op = Flip(op);
-    if (!IsColumnSide(*column, &atom.fallback)) return -1;
+    if (!IsColumnSide(*column, &atom.fallback)) return std::nullopt;
   }
   const auto& ref = static_cast<const ColumnRefExpr&>(
       column->kind == ExprKind::kColumnRef
           ? *column
           : *static_cast<const FuncCallExpr&>(*column).args[0]);
   const int dim = s.view().AttributeIndex(ref.table, ref.column);
-  if (dim < 0 || !ordered[static_cast<size_t>(dim)]) return -1;
+  if (dim < 0 || !ordered[static_cast<size_t>(dim)]) return std::nullopt;
   atom.dim = static_cast<size_t>(dim);
   atom.op = op;
   if (value->kind == ExprKind::kParam) {
@@ -427,38 +394,9 @@ int CompileDecision(const Expr& e, const Synopsis& s,
   } else if (value->kind == ExprKind::kLiteral) {
     atom.literal = &static_cast<const LiteralExpr&>(*value).value;
   } else {
-    return -1;
+    return std::nullopt;
   }
-  atoms->push_back(atom);
-  return push({Node::Kind::kAtom, atoms->size() - 1});
-}
-
-/// The three-valued truth of decided node `n` at `cell` (an index per
-/// dimension), combined as the cell interpreter combines it.
-Truth Decide(const std::vector<Node>& nodes, const std::vector<Atom>& atoms,
-             std::span<const std::optional<OrderedSelection>> sel,
-             const size_t* cell, size_t n) {
-  const Node& node = nodes[n];
-  switch (node.kind) {
-    case Node::Kind::kAtom:
-      return sel[node.a]->At(cell[atoms[node.a].dim]);
-    case Node::Kind::kNot: {
-      const Truth t = Decide(nodes, atoms, sel, cell, node.a);
-      if (t == Truth::kNull) return t;
-      return t == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
-    }
-    case Node::Kind::kAnd:
-    case Node::Kind::kOr: {
-      const Truth l = Decide(nodes, atoms, sel, cell, node.a);
-      const Truth r = Decide(nodes, atoms, sel, cell, node.b);
-      const Truth dominant =
-          node.kind == Node::Kind::kAnd ? Truth::kFalse : Truth::kTrue;
-      if (l == dominant || r == dominant) return dominant;
-      if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
-      return node.kind == Node::Kind::kAnd ? Truth::kTrue : Truth::kFalse;
-    }
-  }
-  return Truth::kNull;
+  return atom;
 }
 
 }  // namespace
@@ -491,20 +429,15 @@ CellPlan::CellPlan(const Synopsis& s, const SelectStmt& query,
       p.constant.push_back(c);  // constant / param-only predicate
       continue;
     }
-    conjunct.atom_begin = p.atoms.size();
-    const size_t nodes = p.nodes.size();
-    conjunct.root =
-        CompileDecision(*c, s, s.ordered_, *layout, &p.atoms, &p.nodes);
-    if (conjunct.root < 0) {  // the interpreter decides it
-      p.atoms.resize(conjunct.atom_begin);
-      p.nodes.resize(nodes);
-    }
-    conjunct.atom_end = p.atoms.size();
-    if (conjunct.dims.size() == 1) {
-      p.one_dim[conjunct.dims[0]].push_back(std::move(conjunct));
-    } else {
+    if (conjunct.dims.size() > 1) {
       p.tabled.push_back(std::move(conjunct));
+      continue;
     }
+    if (std::optional<Atom> atom = CompileAtom(*c, s, s.ordered_, *layout)) {
+      conjunct.atom = static_cast<int>(p.atoms.size());
+      p.atoms.push_back(*atom);
+    }
+    p.one_dim[conjunct.dims[0]].push_back(std::move(conjunct));
   }
 
   // The scalar answer: one item of aggregate calls and arithmetic.
@@ -654,8 +587,7 @@ std::vector<std::optional<OrderedSelection>> CellPlan::Select(
 
 Status CellPlan::Allow(size_t d, ParamValues params, std::span<const Pin> pins,
                        std::span<const std::optional<OrderedSelection>> selected,
-                       const Value** reps, size_t* cell,
-                       std::vector<size_t>* allowed) const {
+                       const Value** reps, std::vector<size_t>* allowed) const {
   const Program& p = *program_;
   const std::vector<Value>& dim_reps = synopsis_->reps_[d];
   const std::vector<Conjunct>& conjuncts = p.one_dim[d];
@@ -670,30 +602,20 @@ Status CellPlan::Allow(size_t d, ParamValues params, std::span<const Pin> pins,
   const OrderedSelection* leading[kLeading];
   size_t open = 0;
   for (; open < conjuncts.size() && open < kLeading; ++open) {
-    const Conjunct& c = conjuncts[open];
-    if (!c.Decided(selected) ||
-        p.nodes[static_cast<size_t>(c.root)].kind != Node::Kind::kAtom ||
-        selected[c.atom_begin]->negated) {
-      break;
-    }
-    leading[open] = &*selected[c.atom_begin];
+    const OrderedSelection* sel = conjuncts[open].Selection(selected);
+    if (sel == nullptr || sel->negated) break;
+    leading[open] = sel;
   }
   Intersect(std::span(leading, open), dim_reps.size(), allowed);
   if (open == conjuncts.size() && !pinned) return Status::OK();
-  std::vector<bool> decided(conjuncts.size());
-  for (size_t j = open; j < conjuncts.size(); ++j) {
-    decided[j] = conjuncts[j].Decided(selected);
-  }
   const CellFrame frame{&p.bindings, params, reps};
   size_t kept = 0;
   for (size_t idx : *allowed) {
     reps[d] = &dim_reps[idx];
-    cell[d] = idx;
     bool pass = true;
     for (size_t j = open; j < conjuncts.size() && pass; ++j) {
-      if (decided[j]) {
-        pass = Decide(p.nodes, p.atoms, selected, cell,
-                      static_cast<size_t>(conjuncts[j].root)) == Truth::kTrue;
+      if (const OrderedSelection* sel = conjuncts[j].Selection(selected)) {
+        pass = sel->Contains(idx);
       } else {
         VR_ASSIGN_OR_RETURN(pass,
                             EvalCellPredicate(*conjuncts[j].expr, frame));
@@ -719,7 +641,7 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
   const Synopsis& s = *synopsis_;
   const size_t n = s.dim_sizes_.size();
   // The current cell: a representative (what the interpreter reads) and
-  // an index (what decided conjuncts read) per dimension.
+  // an index (what the visitor reads) per dimension.
   std::vector<const Value*> reps(n, nullptr);
   std::vector<size_t> cell(n, 0);
   const CellFrame frame{&p.bindings, params, reps.data()};
@@ -736,8 +658,8 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
   std::vector<std::vector<size_t>> allowed(n);
   bool none = false;
   for (size_t d = 0; d < n; ++d) {
-    VR_RETURN_NOT_OK(Allow(d, params, pins, selected, reps.data(),
-                           cell.data(), &allowed[d]));
+    VR_RETURN_NOT_OK(
+        Allow(d, params, pins, selected, reps.data(), &allowed[d]));
     if (static_cast<int>(d) == target) {
       const size_t cells = static_cast<size_t>(s.dim_sizes_[d] - 1);
       while (!allowed[d].empty() && allowed[d].back() >= cells) {
@@ -785,7 +707,6 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
   struct Table {
     std::vector<size_t> strides;  // per dims entry, over allowed positions
     std::vector<int8_t> truth;    // -1 until evaluated
-    bool decided = false;  // read from the selections, not interpreted
     size_t base = 0;  // the entry offset of the slower dimensions
     size_t step = 0;  // the stride along the last dimension, or 0
   };
@@ -799,11 +720,8 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
       entries *= allowed[dims[k]].size();
     }
     tables[i].truth.assign(entries, -1);
-    tables[i].decided = p.tabled[i].Decided(selected);
     if (dims.back() == last) tables[i].step = tables[i].strides.back();
   }
-  const bool reads_last = std::any_of(tables.begin(), tables.end(),
-                                      [](const Table& t) { return t.step > 0; });
   // The slower dimensions step as an odometer; the last one runs as a
   // tight inner loop.
   const std::vector<size_t>& inner = allowed[last];
@@ -833,33 +751,15 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
         Table& t = tables[i];
         int8_t& truth = t.truth[t.base + q * t.step];
         if (truth < 0) {
-          bool holds;
-          if (t.decided) {
-            holds = Decide(p.nodes, p.atoms, selected, cell.data(),
-                           static_cast<size_t>(p.tabled[i].root)) ==
-                    Truth::kTrue;
-          } else {
-            reps[last] = &s.reps_[last][inner[q]];
-            VR_ASSIGN_OR_RETURN(holds,
-                                EvalCellPredicate(*p.tabled[i].expr, frame));
-          }
+          reps[last] = &s.reps_[last][inner[q]];
+          VR_ASSIGN_OR_RETURN(bool holds,
+                              EvalCellPredicate(*p.tabled[i].expr, frame));
           truth = holds ? 1 : 0;
         }
         if (truth == 0) return false;
       }
       return true;
     };
-    if (!reads_last) {
-      // No table reads the last dimension: the first cell's verdict holds
-      // for the whole run.
-      VR_ASSIGN_OR_RETURN(bool pass, passes(0));
-      if (!pass) continue;
-      for (size_t idx : inner) {
-        cell[last] = idx;
-        visit(base + idx, cell.data());
-      }
-      continue;
-    }
     for (size_t q = 0; q < inner.size(); ++q) {
       VR_ASSIGN_OR_RETURN(bool pass, passes(q));
       if (pass) visit(base + inner[q], cell.data());
@@ -932,14 +832,6 @@ Result<std::vector<double>> CellPlan::Readings(const AggSet& set,
     const size_t m = set.measures.size();
     const double* const* measures = set.measures.data();
     double* t = totals.data();
-    if (m == 1) {
-      double total = 0;
-      VR_RETURN_NOT_OK(Walk(params, pins, -1, [&](size_t flat, const size_t*) {
-        total += measures[0][flat];
-      }));
-      t[0] = total;
-      return Status::OK();
-    }
     return Walk(params, pins, -1, [&](size_t flat, const size_t*) {
       for (size_t j = 0; j < m; ++j) t[j] += measures[j][flat];
     });

@@ -19,25 +19,20 @@
 
 namespace viewrewrite {
 
-/// SQL three-valued truth.
-enum class Truth : uint8_t { kFalse, kTrue, kNull };
-
-/// The truth of `rep op value` at each representative of a dimension, for
-/// a comparison a binary search over its ordered keys decides
+/// The representatives of a dimension where `rep op value` is TRUE, for a
+/// comparison a binary search over its ordered keys decides
 /// (SelectOrdered).
 struct OrderedSelection {
   size_t begin = 0;
   size_t end = 0;
   bool negated = false;  // `<>`: every key outside [begin, end)
   size_t keys = 0;       // representatives past the keys are NULL
-  Truth padding = Truth::kNull;  // what those NULL representatives read
+  bool padding = false;  // whether those NULL representatives hold
 
-  Truth At(size_t idx) const {
+  bool Contains(size_t idx) const {
     if (idx >= keys) return padding;
-    return ((idx >= begin && idx < end) != negated) ? Truth::kTrue
-                                                    : Truth::kFalse;
+    return (idx >= begin && idx < end) != negated;
   }
-  bool Contains(size_t idx) const { return At(idx) == Truth::kTrue; }
 };
 
 /// Selects, by binary search over `keys` (the non-decreasing, NaN-free
@@ -59,9 +54,8 @@ std::optional<OrderedSelection> SelectOrdered(std::span<const double> keys,
 /// depends on the parameter values:
 ///  - each dimension's allowed indices. A comparison `col op $k` (or
 ///    `COALESCE(col, literal) op $k`) over an ordered dimension is
-///    decided by a binary search whenever the value is a number, and so
-///    is AND/OR/NOT over such comparisons, in SQL three-valued logic;
-///    every other conjunct runs through the cell interpreter;
+///    decided by a binary search whenever the value is a number; every
+///    other conjunct runs through the cell interpreter;
 ///  - one walk over the allowed cells in flat-index order, truth tables
 ///    for the conjuncts that read several dimensions filled on first
 ///    reach, so every sum is the same, bit for bit, and every error the
@@ -114,8 +108,7 @@ class CellPlan {
               Visit&& visit) const;
   Status Allow(size_t d, ParamValues params, std::span<const Pin> pins,
                std::span<const std::optional<OrderedSelection>> selected,
-               const Value** reps, size_t* cell,
-               std::vector<size_t>* allowed) const;
+               const Value** reps, std::vector<size_t>* allowed) const;
   Result<std::vector<double>> Readings(const AggSet& set, ParamValues params,
                                        std::span<const Pin> pins) const;
   Result<double> Extremum(size_t dim, bool is_max, ParamValues params,
