@@ -737,35 +737,36 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
   // answer is its row count.
   //
   // A template answers from its compiled plan with its lifted values
-  // bound by position to `$1 … $n`, and every other slot bound by name
-  // from the request's own parameters (no SQL text can name a numeric
-  // parameter, so the two never collide).
+  // bound by position to `$1 … $n`; a literal query compiles a plan for
+  // this request. Every other slot binds by name from the request's own
+  // parameters (no SQL text can name a numeric parameter, so the two
+  // never collide).
   bool outdated = false;
   std::shared_ptr<const aggregate::GroupedData> rows;
   auto answer = [&]() -> Result<double> {
     VR_FAULT_POINT(faults::kServeAnswer);
     BoundRewrittenQuery literal_bound;
-    std::vector<const Value*> values;  // one per template plan slot
+    QueryPlan literal_plan;
+    const QueryPlan* plan = &literal_plan;
     bool grouped = false;
     if (tmpl != nullptr) {
       outdated = tmpl->outdated;
       grouped = tmpl->grouped;
-      const ParamLayout& layout = tmpl->plan.layout;
-      values.assign(layout.size(), nullptr);
-      const size_t lifted = shape.params.size();
-      for (size_t k = 0; k < lifted; ++k) values[k] = &shape.params[k];
-      for (size_t slot = lifted; slot < layout.size() && !params.empty();
-           ++slot) {
-        auto it = params.find(layout.name(slot));
-        if (it != params.end()) values[slot] = &it->second;
-      }
+      plan = &tmpl->plan;
     } else {
       VR_ASSIGN_OR_RETURN(literal_bound, snap.store->Bind(*literal, nullptr));
       outdated = TouchesOutdatedView(*snap.store, literal_bound,
                                      options_.outdated_ttl_generations);
       grouped = IsGroupedAnswer(literal_bound);
+      literal_plan = snap.store->Compile(literal_bound, {});
     }
-    // The answer-stage counters time the answer call alone.
+    std::vector<const Value*> values = BindByName(plan->layout, params);
+    if (tmpl != nullptr) {
+      for (size_t k = 0; k < shape.params.size(); ++k) {
+        values[k] = &shape.params[k];
+      }
+    }
+    // The answer-stage counters time running the plan alone.
     auto timed = [&](ServeCounter calls, ServeCounter nanos, auto&& call) {
       const auto start = std::chrono::steady_clock::now();
       auto result = call();
@@ -779,23 +780,14 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     };
     if (!grouped) {
       return timed(ServeCounter::kAnswerScalarCalls,
-                   ServeCounter::kAnswerScalarNanos, [&] {
-                     if (tmpl == nullptr) {
-                       return snap.store->Answer(literal_bound, params);
-                     }
-                     return AnswerPlan(tmpl->plan, std::move(values));
-                   });
+                   ServeCounter::kAnswerScalarNanos,
+                   [&] { return AnswerPlan(*plan, std::move(values)); });
     }
     VR_ASSIGN_OR_RETURN(
         aggregate::GroupedData data,
         timed(ServeCounter::kAnswerGroupedCalls,
-              ServeCounter::kAnswerGroupedNanos, [&] {
-                if (tmpl == nullptr) {
-                  return snap.store->AnswerGrouped(
-                      literal_bound.terms[0].query, params);
-                }
-                return tmpl->plan.terms[0].plan.AnswerGrouped(values);
-              }));
+              ServeCounter::kAnswerGroupedNanos,
+              [&] { return plan->terms[0].plan.AnswerGrouped(values); }));
     const size_t suppressed = aggregate::ApplySuppression(
         aggregate::SuppressionPolicy{options_.min_group_count}, &data);
     counters_.Add(ServeCounter::kGroupedQueries);

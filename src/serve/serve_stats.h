@@ -130,9 +130,10 @@ struct ServeStats {
 
   // ---- Answer stage: the synopsis answer call alone. -----------------------
   // answer_seconds above times a whole computation (shape scan, template
-  // lookup or parse/rewrite/bind, cache probes); these time only the call
-  // that answers a bound query from the stored cells, counted whether it
-  // succeeds or fails. Scalar and grouped answers are kept apart.
+  // lookup or parse/rewrite/bind, cache probes); these time only running
+  // the compiled plan that answers from the stored cells, counted whether
+  // it succeeds or fails. A literal query's per-request plan compilation
+  // is not counted. Scalar and grouped answers are kept apart.
   uint64_t answer_scalar_calls = 0;
   uint64_t answer_scalar_nanos = 0;
   uint64_t answer_grouped_calls = 0;
