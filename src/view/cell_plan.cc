@@ -722,6 +722,8 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
     tables[i].truth.assign(entries, -1);
     if (dims.back() == last) tables[i].step = tables[i].strides.back();
   }
+  const bool reads_last = std::any_of(tables.begin(), tables.end(),
+                                      [](const Table& t) { return t.step > 0; });
   // The slower dimensions step as an odometer; the last one runs as a
   // tight inner loop.
   const std::vector<size_t>& inner = allowed[last];
@@ -760,6 +762,17 @@ Status CellPlan::Walk(ParamValues params, std::span<const Pin> pins,
       }
       return true;
     };
+    if (!reads_last) {
+      // No table reads the last dimension: the first cell's verdict holds
+      // for the whole run.
+      VR_ASSIGN_OR_RETURN(bool pass, passes(0));
+      if (!pass) continue;
+      for (size_t idx : inner) {
+        cell[last] = idx;
+        visit(base + idx, cell.data());
+      }
+      continue;
+    }
     for (size_t q = 0; q < inner.size(); ++q) {
       VR_ASSIGN_OR_RETURN(bool pass, passes(q));
       if (pass) visit(base + inner[q], cell.data());
